@@ -54,14 +54,23 @@ func (a *Array) Put(coords []int64, attrs []Value) error {
 				a.Schema.Name, d.Name, coords[i], d.Start, d.End)
 		}
 	}
-	key := ChunkKeyOf(a.Schema, coords)
-	ch, ok := a.Chunks[key]
-	if !ok {
+	ch := a.chunkOf(coords)
+	if ch == nil {
+		key := ChunkKeyOf(a.Schema, coords)
 		ch = NewChunk(key, len(a.Schema.Dims), a.attrTypes())
 		a.Chunks[key] = ch
 	}
 	ch.AppendCell(coords, attrs)
 	return nil
+}
+
+// chunkOf returns the stored chunk containing coords, or nil. The key is
+// encoded into a stack buffer and the map is indexed with the
+// non-allocating []byte-to-string conversion, so the lookup makes no
+// allocation; only a newly created chunk allocates its key.
+func (a *Array) chunkOf(coords []int64) *Chunk {
+	var buf [64]byte
+	return a.Chunks[ChunkKey(appendChunkKeyOf(buf[:0], a.Schema, coords))]
 }
 
 // MustPut is Put but panics on error; for tests and generators whose
@@ -75,18 +84,22 @@ func (a *Array) MustPut(coords []int64, attrs []Value) {
 // Get returns the attribute values of the first stored cell at coords, or
 // false if the position is empty.
 func (a *Array) Get(coords []int64) ([]Value, bool) {
-	key := ChunkKeyOf(a.Schema, coords)
-	ch, ok := a.Chunks[key]
-	if !ok {
+	ch := a.chunkOf(coords)
+	if ch == nil {
 		return nil, false
 	}
-	tmp := make([]int64, ch.NDims)
+rows:
 	for row := 0; row < ch.Len(); row++ {
-		tmp = ch.CoordsAt(row, tmp)
-		if CompareCoords(tmp, coords) == 0 {
-			_, attrs := ch.Cell(row)
-			return attrs, true
+		for d := 0; d < ch.NDims; d++ {
+			if ch.Coords[d][row] != coords[d] {
+				continue rows
+			}
 		}
+		attrs := make([]Value, len(ch.Cols))
+		for i := range ch.Cols {
+			attrs[i] = ch.Cols[i].Value(row)
+		}
+		return attrs, true
 	}
 	return nil, false
 }
@@ -121,14 +134,34 @@ func (a *Array) SortAll() {
 
 // SortedKeys returns the stored chunk keys in C-order of their chunk
 // indices, giving a deterministic traversal of array space.
+//
+// Each key is decoded once into a shared index arena and the
+// (key, indices) pairs are sorted, so no comparison parses a key.
 func (a *Array) SortedKeys() []ChunkKey {
-	keys := make([]ChunkKey, 0, len(a.Chunks))
-	for k := range a.Chunks {
-		keys = append(keys, k)
+	type decoded struct {
+		key ChunkKey
+		idx []int64
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		return CompareCoords(keys[i].Indices(), keys[j].Indices()) < 0
+	nd := len(a.Schema.Dims)
+	arena := make([]int64, 0, len(a.Chunks)*nd)
+	pairs := make([]decoded, 0, len(a.Chunks))
+	for k := range a.Chunks {
+		start := len(arena)
+		if k != "" {
+			arena = k.appendIndices(arena)
+		}
+		pairs = append(pairs, decoded{key: k, idx: arena[start:len(arena):len(arena)]})
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if c := CompareCoords(pairs[i].idx, pairs[j].idx); c != 0 {
+			return c < 0
+		}
+		return pairs[i].key < pairs[j].key
 	})
+	keys := make([]ChunkKey, len(pairs))
+	for i, p := range pairs {
+		keys[i] = p.key
+	}
 	return keys
 }
 

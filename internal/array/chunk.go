@@ -1,26 +1,33 @@
 package array
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // ChunkKey identifies a logical chunk position in array space: one chunk
 // index per dimension, in dimension order. Keys are comparable and have a
-// canonical string encoding so they may be used as map keys.
+// canonical string encoding — the decimal indices joined by commas — so
+// they may be used as map keys. The encoding is persisted by storage and
+// hashed by chunk placement, so its bytes must never change.
 type ChunkKey string
+
+// appendChunkKey appends the canonical encoding of the per-dimension chunk
+// indices to dst and returns the extended buffer.
+func appendChunkKey(dst []byte, idx []int64) []byte {
+	for i, v := range idx {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, v, 10)
+	}
+	return dst
+}
 
 // MakeChunkKey encodes per-dimension chunk indices into a ChunkKey.
 func MakeChunkKey(idx []int64) ChunkKey {
-	var b strings.Builder
-	for i, v := range idx {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", v)
-	}
-	return ChunkKey(b.String())
+	var buf [64]byte
+	return ChunkKey(appendChunkKey(buf[:0], idx))
 }
 
 // Indices decodes the per-dimension chunk indices of the key.
@@ -28,24 +35,42 @@ func (k ChunkKey) Indices() []int64 {
 	if k == "" {
 		return nil
 	}
-	parts := strings.Split(string(k), ",")
-	out := make([]int64, len(parts))
-	for i, p := range parts {
-		var v int64
-		fmt.Sscanf(p, "%d", &v)
-		out[i] = v
+	return k.appendIndices(nil)
+}
+
+// appendIndices appends the decoded indices of a non-empty key to dst.
+func (k ChunkKey) appendIndices(dst []int64) []int64 {
+	start := 0
+	for i := 0; i <= len(k); i++ {
+		if i == len(k) || k[i] == ',' {
+			// Canonical keys always parse; a malformed part decodes as
+			// ParseInt's fallback value so a bad key still sorts.
+			v, _ := strconv.ParseInt(string(k[start:i]), 10, 64)
+			dst = append(dst, v)
+			start = i + 1
+		}
 	}
-	return out
+	return dst
+}
+
+// appendChunkKeyOf appends the key of the chunk containing the given
+// coordinates under schema s to dst. Coordinates must be in range
+// (checked by Array.Put).
+func appendChunkKeyOf(dst []byte, s *Schema, coords []int64) []byte {
+	for i, d := range s.Dims {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, d.ChunkIndex(coords[i]), 10)
+	}
+	return dst
 }
 
 // ChunkKeyOf returns the key of the chunk containing the given coordinates
 // under schema s. Coordinates must be in range (checked by Array.Put).
 func ChunkKeyOf(s *Schema, coords []int64) ChunkKey {
-	idx := make([]int64, len(s.Dims))
-	for i, d := range s.Dims {
-		idx[i] = d.ChunkIndex(coords[i])
-	}
-	return MakeChunkKey(idx)
+	var buf [64]byte
+	return ChunkKey(appendChunkKeyOf(buf[:0], s, coords))
 }
 
 // CompareCoords orders two coordinate vectors in C-order: the first
@@ -165,14 +190,13 @@ func (ch *Chunk) Len() int {
 // AppendCell adds a cell. The chunk is marked unsorted unless the new cell
 // extends the existing C-order.
 func (ch *Chunk) AppendCell(coords []int64, attrs []Value) {
-	n := ch.Len()
-	if ch.Sorted && n > 0 {
-		last := make([]int64, ch.NDims)
+	if n := ch.Len(); ch.Sorted && n > 0 {
+		// Compare against the last stored cell in place (C-order).
 		for d := 0; d < ch.NDims; d++ {
-			last[d] = ch.Coords[d][n-1]
-		}
-		if CompareCoords(last, coords) > 0 {
-			ch.Sorted = false
+			if last := ch.Coords[d][n-1]; last != coords[d] {
+				ch.Sorted = last < coords[d]
+				break
+			}
 		}
 	}
 	for d := 0; d < ch.NDims; d++ {

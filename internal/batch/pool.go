@@ -47,7 +47,7 @@ func (b *Batch) Reshape(ndims int, types []array.ScalarType, capacity int) {
 // pressure (concurrent query output assembly) the pool exists to
 // absorb. Capacity follows Pool semantics: a bounded per-shard free
 // list, excess Puts dropped.
-var pool = par.NewPool[*Batch](128)
+var pool = par.NewPool[*Batch](0, 128)
 
 // Get returns an empty batch shaped for the given layout: a recycled
 // one (Reshape'd, retaining grown storage from any prior query) when

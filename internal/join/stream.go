@@ -205,7 +205,7 @@ type hashIndex struct {
 // 16-way concurrent serving every query's every unit hits this pool, and
 // sync.Pool both drains under GC pressure (re-paying the index's slab
 // allocations) and funnels through per-P locking on the slow path.
-var hashIndexPool = par.NewPool[*hashIndex](64)
+var hashIndexPool = par.NewPool[*hashIndex](0, 64)
 
 // getHashIndex returns a cleared index sized for n build tuples.
 func getHashIndex(n int) *hashIndex {
@@ -254,7 +254,7 @@ func (ix *hashIndex) first(h uint64) int32 { return ix.slots[h&ix.mask] }
 // slice header by value, so Put does not box it into an interface (an
 // allocation per call under sync.Pool), and the retained buffers
 // survive GC cycles between queries.
-var tuplePool = par.NewPool[[]Tuple](64)
+var tuplePool = par.NewPool[[]Tuple](0, 64)
 
 // GetTuples returns an empty pooled tuple slice to append into.
 func GetTuples() []Tuple {

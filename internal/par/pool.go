@@ -20,9 +20,11 @@ import (
 //     (e.g. slice headers) are pooled without a boxing allocation per
 //     Put.
 //
-// The free list is sharded to roughly one shard per CPU with a
-// round-robin shard pick, so 16-way concurrent Get/Put traffic does not
-// serialize on one mutex. Each shard holds at most perShard items;
+// The free list is sharded to roughly one shard per CPU, so 16-way
+// concurrent Get/Put traffic does not serialize on one mutex. Put picks
+// a shard round-robin; Get starts at the next round-robin shard and
+// tries every shard before it reports a miss, so an item Put on any
+// shard is found again. Each shard holds at most perShard items;
 // excess Puts are dropped for the collector, which bounds the pool's
 // footprint. The zero Pool is not usable; construct with NewPool.
 type Pool[T any] struct {
@@ -40,15 +42,19 @@ type poolShard[T any] struct {
 	_ [24]byte
 }
 
-// NewPool returns a pool whose shards each retain up to perShard items
-// (<= 0 selects 32). The shard count is the smallest power of two
-// covering the machine's CPUs.
-func NewPool[T any](perShard int) *Pool[T] {
+// NewPool returns a pool of the given number of shards, each retaining
+// up to perShard items. The shard count is rounded up to a power of two;
+// shards <= 0 selects the smallest power of two covering GOMAXPROCS.
+// perShard <= 0 selects 32.
+func NewPool[T any](shards, perShard int) *Pool[T] {
 	if perShard <= 0 {
 		perShard = 32
 	}
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
 	n := 1
-	for n < runtime.GOMAXPROCS(0) {
+	for n < shards {
 		n <<= 1
 	}
 	p := &Pool[T]{shards: make([]poolShard[T], n), mask: uint32(n - 1)}
@@ -58,21 +64,25 @@ func NewPool[T any](perShard int) *Pool[T] {
 	return p
 }
 
-// Get pops an item from one shard, reporting whether one was available.
-// On false the caller allocates; the zero T returned alongside is
-// meaningless.
+// Get pops an item, reporting whether one was available. It starts at
+// the next round-robin shard and falls through the others in turn, so
+// it misses only when every shard is empty. On false the caller
+// allocates; the zero T returned alongside is meaningless.
 func (p *Pool[T]) Get() (T, bool) {
-	s := &p.shards[p.ctr.Add(1)&p.mask]
-	s.mu.Lock()
-	if n := len(s.items); n > 0 {
-		v := s.items[n-1]
-		var zero T
-		s.items[n-1] = zero // release the reference to the collector
-		s.items = s.items[:n-1]
+	start := p.ctr.Add(1)
+	for i := uint32(0); i <= p.mask; i++ {
+		s := &p.shards[(start+i)&p.mask]
+		s.mu.Lock()
+		if n := len(s.items); n > 0 {
+			v := s.items[n-1]
+			var zero T
+			s.items[n-1] = zero // release the reference to the collector
+			s.items = s.items[:n-1]
+			s.mu.Unlock()
+			return v, true
+		}
 		s.mu.Unlock()
-		return v, true
 	}
-	s.mu.Unlock()
 	var zero T
 	return zero, false
 }

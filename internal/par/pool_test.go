@@ -1,12 +1,17 @@
 package par
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
 
+// The tests force several shards so a shard-pick bug shows on any
+// machine, whatever its GOMAXPROCS.
+const testShards = 4
+
 func TestPoolGetPut(t *testing.T) {
-	p := NewPool[[]int](4)
+	p := NewPool[[]int](testShards, 4)
 	if _, ok := p.Get(); ok {
 		t.Fatal("empty pool returned an item")
 	}
@@ -20,8 +25,37 @@ func TestPoolGetPut(t *testing.T) {
 	}
 }
 
+// TestPoolAlternatingGetPut is the regression test for Get and Put
+// picking different shards: one goroutine recycling one item must hit
+// the pool every time, at every shard count.
+func TestPoolAlternatingGetPut(t *testing.T) {
+	for _, shards := range []int{1, 2, 3, testShards, 16} {
+		p := NewPool[*int](shards, 4)
+		x := new(int)
+		p.Put(x)
+		for i := 0; i < 100; i++ {
+			v, ok := p.Get()
+			if !ok || v != x {
+				t.Fatalf("shards=%d: Get #%d = %p, %v; want the pooled item", shards, i, v, ok)
+			}
+			p.Put(v)
+		}
+	}
+}
+
+func TestPoolShardCount(t *testing.T) {
+	for _, c := range []struct{ in, want int }{{1, 1}, {2, 2}, {3, 4}, {4, 4}, {9, 16}} {
+		if got := len(NewPool[int](c.in, 1).shards); got != c.want {
+			t.Errorf("NewPool(%d) has %d shards, want %d", c.in, got, c.want)
+		}
+	}
+	if got := len(NewPool[int](0, 1).shards); got < runtime.GOMAXPROCS(0) {
+		t.Errorf("NewPool(0) has %d shards, fewer than GOMAXPROCS", got)
+	}
+}
+
 func TestPoolBounded(t *testing.T) {
-	p := NewPool[int](2)
+	p := NewPool[int](testShards, 2)
 	// Overfill far past every shard's cap; the retained total must not
 	// exceed shards × perShard.
 	for i := 0; i < 10000; i++ {
@@ -33,7 +67,7 @@ func TestPoolBounded(t *testing.T) {
 }
 
 func TestPoolZeroesFreedSlots(t *testing.T) {
-	p := NewPool[*int](4)
+	p := NewPool[*int](testShards, 4)
 	x := new(int)
 	p.Put(x)
 	if _, ok := p.Get(); !ok {
@@ -51,7 +85,7 @@ func TestPoolZeroesFreedSlots(t *testing.T) {
 }
 
 func TestPoolConcurrent(t *testing.T) {
-	p := NewPool[[]byte](16)
+	p := NewPool[[]byte](testShards, 16)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -74,7 +108,7 @@ func TestPoolConcurrent(t *testing.T) {
 // parallelism — the shape of 16-way concurrent query serving hitting the
 // shared scratch pools.
 func BenchmarkPoolContended(b *testing.B) {
-	p := NewPool[[]byte](64)
+	p := NewPool[[]byte](0, 64)
 	for i := 0; i < 256; i++ {
 		p.Put(make([]byte, 0, 1024))
 	}

@@ -234,18 +234,12 @@ func MapSideStream(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper,
 	rs.counts = make([]int64, spec.NumUnits*k)
 	tails := make([]*batch.Batch, spec.NumUnits*k)
 
-	// Each node's chunks, in the global chunk-key order — the order the
-	// sequential path visits them, preserved per node under parallelism.
-	perNode := make([][]array.ChunkKey, k)
-	for _, key := range d.Array.SortedKeys() {
-		node := d.Placement[key]
-		perNode[node] = append(perNode[node], key)
-	}
-
 	nkey := len(m.KeyRefs)
 	errs := make([]error, k)
 	par.ForEach(k, workers, func(node int) {
-		for _, key := range perNode[node] {
+		// The node's chunks in C-order of their keys, from the per-node
+		// index the Distributed builds once for its lifetime.
+		for _, key := range d.LocalChunks(node) {
 			ch := d.Array.Chunks[key]
 			for row := 0; row < ch.Len(); row++ {
 				u := unitOfRow(spec, m, ch, row)
@@ -318,7 +312,7 @@ type TupleReader struct {
 // queries, and RunSets — a sharded pool for the same reason as the
 // batch pool: the per-RunSet free list serialized concurrent compare
 // workers on the set's mutex and dropped the grown arenas at query end.
-var readerPool = par.NewPool[*TupleReader](64)
+var readerPool = par.NewPool[*TupleReader](0, 64)
 
 // Reader returns a pooled reader over unit u as assembled at node dest.
 func (rs *RunSet) Reader(u, dest int) *TupleReader {
