@@ -5,7 +5,7 @@ import (
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
-	"shufflejoin/internal/exec"
+	"shufflejoin/internal/pipeline"
 )
 
 func filterCluster(t *testing.T) *cluster.Cluster {
@@ -70,7 +70,7 @@ func TestParseFilterErrors(t *testing.T) {
 func TestRunWithFilterPushdown(t *testing.T) {
 	c := filterCluster(t)
 	// flag = i%4; i in 1..100 with flag=2: i ∈ {2,6,...,98} -> 25 rows.
-	rep, err := Run(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND A.flag = 2", exec.Options{})
+	rep, err := Run(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND A.flag = 2", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRunWithBothSideFilters(t *testing.T) {
 	// A.flag != 0 keeps 75 rows; B.score > 5.0 keeps i > 50.
 	// Intersection: i in 51..100 with i%4 != 0 -> 50 - 13 = 37.
 	rep, err := Run(c, `SELECT A.v FROM A, B
-		WHERE A.i = B.i AND A.flag != 0 AND B.score > 5.0`, exec.Options{})
+		WHERE A.i = B.i AND A.flag != 0 AND B.score > 5.0`, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRunWithBothSideFilters(t *testing.T) {
 
 func TestRunFilterOnDimension(t *testing.T) {
 	c := filterCluster(t)
-	rep, err := Run(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND A.i <= 10", exec.Options{})
+	rep, err := Run(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND A.i <= 10", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestRunFilterOnDimension(t *testing.T) {
 
 func TestRunFilterUnknownColumn(t *testing.T) {
 	c := filterCluster(t)
-	if _, err := Run(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND nope = 1", exec.Options{}); err == nil {
+	if _, err := Run(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND nope = 1", pipeline.Options{}); err == nil {
 		t.Error("unknown filter column should error")
 	}
 	// Ambiguous unqualified column (i exists in both).
-	if _, err := Run(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND i = 1", exec.Options{}); err == nil {
+	if _, err := Run(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND i = 1", pipeline.Options{}); err == nil {
 		t.Error("ambiguous filter column should error")
 	}
 }
@@ -120,7 +120,7 @@ func TestMultiWayWithFilter(t *testing.T) {
 	// Regions pop > 3000 keeps regions 4,5 (pop 4000, 5000) -> rid 4,0.
 	res, err := RunMulti(c, `SELECT * FROM Clicks, Users, Regions
 		WHERE Clicks.who = Users.uid AND Users.region = Regions.rid
-		AND Regions.pop > 3000`, exec.Options{})
+		AND Regions.pop > 3000`, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

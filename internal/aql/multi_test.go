@@ -6,7 +6,7 @@ import (
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
-	"shufflejoin/internal/exec"
+	"shufflejoin/internal/pipeline"
 )
 
 // threeWayCluster loads Users (small), Clicks (large), Regions (small):
@@ -40,7 +40,7 @@ const threeWayQuery = `SELECT *
 
 func TestRunMultiThreeWay(t *testing.T) {
 	c := threeWayCluster(t)
-	res, err := RunMulti(c, threeWayQuery, exec.Options{})
+	res, err := RunMulti(c, threeWayQuery, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestRunMultiGreedyOrder(t *testing.T) {
 	// Regions) first: that intermediate is far smaller than anything
 	// involving Clicks.
 	c := threeWayCluster(t)
-	res, err := RunMulti(c, threeWayQuery, exec.Options{})
+	res, err := RunMulti(c, threeWayQuery, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRunMultiGreedyOrder(t *testing.T) {
 func TestRunMultiProjection(t *testing.T) {
 	c := threeWayCluster(t)
 	res, err := RunMulti(c, `SELECT pop, who FROM Clicks, Users, Regions
-		WHERE Clicks.who = Users.uid AND Users.region = Regions.rid`, exec.Options{})
+		WHERE Clicks.who = Users.uid AND Users.region = Regions.rid`, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,18 +104,18 @@ func TestRunMultiProjection(t *testing.T) {
 func TestRunMultiMatchesTwoStepManual(t *testing.T) {
 	// Cross-check against running the two joins by hand.
 	c := threeWayCluster(t)
-	auto, err := RunMulti(c, threeWayQuery, exec.Options{})
+	auto, err := RunMulti(c, threeWayQuery, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c2 := threeWayCluster(t)
-	step1, err := Run(c2, "SELECT * FROM Users, Regions WHERE Users.region = Regions.rid", exec.Options{})
+	step1, err := Run(c2, "SELECT * FROM Users, Regions WHERE Users.region = Regions.rid", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	step1.Output.Schema.Name = "UR"
 	c2.Load(step1.Output, cluster.RoundRobin)
-	step2, err := Run(c2, "SELECT * FROM Clicks, UR WHERE Clicks.who = UR.uid", exec.Options{})
+	step2, err := Run(c2, "SELECT * FROM Clicks, UR WHERE Clicks.who = UR.uid", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRunMultiErrors(t *testing.T) {
 		"SELECT * FROM Clicks, Users, Regions WHERE Users.uid = Users.region AND Clicks.who = Users.uid",
 	}
 	for _, q := range cases {
-		if _, err := RunMulti(c, q, exec.Options{}); err == nil {
+		if _, err := RunMulti(c, q, pipeline.Options{}); err == nil {
 			t.Errorf("RunMulti(%q) succeeded, want error", q)
 		}
 	}
@@ -149,7 +149,7 @@ func TestRunMultiErrors(t *testing.T) {
 
 func TestRunRejectsMultiWay(t *testing.T) {
 	c := threeWayCluster(t)
-	if _, err := Run(c, threeWayQuery, exec.Options{}); err == nil {
+	if _, err := Run(c, threeWayQuery, pipeline.Options{}); err == nil {
 		t.Error("Run should reject three-way queries")
 	}
 }
@@ -166,7 +166,7 @@ func TestParseThreeWayFrom(t *testing.T) {
 
 func TestExplainMulti(t *testing.T) {
 	c := threeWayCluster(t)
-	plan, err := ExplainMulti(c, threeWayQuery, exec.Options{})
+	plan, err := ExplainMulti(c, threeWayQuery, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestExplainMulti(t *testing.T) {
 	if _, err := c.Catalog.Lookup("_join1"); err == nil {
 		t.Error("ExplainMulti leaked an intermediate into the catalog")
 	}
-	if _, err := ExplainMulti(c, "SELECT * FROM Users, Regions WHERE Users.region = Regions.rid", exec.Options{}); err == nil {
+	if _, err := ExplainMulti(c, "SELECT * FROM Users, Regions WHERE Users.region = Regions.rid", pipeline.Options{}); err == nil {
 		t.Error("two-way query should be rejected")
 	}
 }

@@ -87,16 +87,23 @@ func Table1Operators(sizes []int64, seed int64) ([]OpMeasurement, map[string]sta
 		if err != nil {
 			return nil, nil, err
 		}
-		// hash: the slice mapping that builds hash-bucket join units.
+		// hash: the slice mapping that builds hash-bucket join units, as
+		// the engine runs it (columnar batch runs). The batches are
+		// recycled outside the timed region, as a finished query does.
 		d := cluster.Distribute(src, 1, cluster.RoundRobin)
 		spec := &shuffle.UnitSpec{Kind: shuffle.HashUnits, NumUnits: chunks}
 		mapper := &shuffle.SideMapper{KeyRefs: []join.Ref{{IsDim: false, Index: 0, Name: "v"}}}
+		var rs *shuffle.RunSet
 		err = measure("hash", nf, func() error {
-			_, e := shuffle.MapSide(d, 1, spec, mapper)
+			var e error
+			rs, e = shuffle.MapSideStream(d, 1, spec, mapper, 1, shuffle.StreamConfig{})
 			return e
 		})
 		if err != nil {
 			return nil, nil, err
+		}
+		for u := 0; u < spec.NumUnits; u++ {
+			rs.ReleaseUnit(u)
 		}
 		err = measure("scan", 0, func() error {
 			src.Scan(func([]int64, []array.Value) bool { return true })

@@ -6,6 +6,7 @@ import (
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
+	"shufflejoin/internal/pipeline"
 )
 
 func TestEstimatedSelectivityDrivesPlan(t *testing.T) {
@@ -22,7 +23,7 @@ func TestEstimatedSelectivityDrivesPlan(t *testing.T) {
 	c := newCluster(t, 2, a, b)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	out := array.MustParseSchema("T<i:int, j:int>[v=1,8000,1000]")
-	rep, err := Run(c, "A", "B", pred, out, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestEstimatedSelectivityDDJoin(t *testing.T) {
 	b := buildArray("B<w:int>[i=1,500,50]", 32, 400, 10)
 	c := newCluster(t, 2, a, b)
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
-	rep, err := Run(c, "A", "B", pred, nil, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestCallerSelectivityWins(t *testing.T) {
 	b := buildArray("B<w:int>[i=1,100,10]", 34, 50, 10)
 	c := newCluster(t, 2, a, b)
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
-	rep, err := Run(c, "A", "B", pred, nil, Options{
+	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
 		Logical: logicalPlanOpts(7.5),
 	})
 	if err != nil {
@@ -85,7 +86,7 @@ func TestADJoinFigure2c(t *testing.T) {
 	c := newCluster(t, 3, a, b)
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "w"}}}
 	out := array.MustParseSchema("T<v:int>[i=1,9,3, j=1,9,3]")
-	rep, err := Run(c, "a", "b", pred, out, Options{})
+	rep, err := pipeline.Run(c, "a", "b", pred, out, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestADJoinAllAlgorithms(t *testing.T) {
 	for _, algo := range []join.Algorithm{join.Hash, join.Merge, join.NestedLoop} {
 		algo := algo
 		c := newCluster(t, 3, a.Clone(), b.Clone())
-		rep, err := Run(c, "A", "B", pred, out, Options{ForceAlgo: &algo})
+		rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{ForceAlgo: &algo})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -146,10 +147,10 @@ func TestAccessorResolution(t *testing.T) {
 	dl, _ := c.Catalog.Lookup("A")
 	dr, _ := c.Catalog.Lookup("B")
 	var js *logical.JoinSchema
-	opt := Options{
+	opt := pipeline.Options{
 		ProjectFactory: func(j *logical.JoinSchema) (func(l, r *join.Tuple) []array.Value, error) {
 			js = j
-			acc, err := Accessor(j, "A", "i")
+			acc, err := pipeline.Accessor(j, "A", "i")
 			if err != nil {
 				return nil, err
 			}
@@ -158,7 +159,7 @@ func TestAccessorResolution(t *testing.T) {
 			}, nil
 		},
 	}
-	rep, err := RunDistributed(c, dl, dr, pred, out, opt)
+	rep, err := pipeline.RunDistributed(c, dl, dr, pred, out, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,17 +167,17 @@ func TestAccessorResolution(t *testing.T) {
 		t.Fatal("no matches")
 	}
 	// Accessor error paths.
-	if _, err := Accessor(js, "A", "missing"); err == nil {
+	if _, err := pipeline.Accessor(js, "A", "missing"); err == nil {
 		t.Error("unknown field should fail")
 	}
-	if _, err := Accessor(js, "Z", "v"); err == nil {
+	if _, err := pipeline.Accessor(js, "Z", "v"); err == nil {
 		t.Error("unknown array should fail")
 	}
 	// Dimension accessor on the right side, unqualified attribute search.
-	if _, err := Accessor(js, "B", "j"); err != nil {
+	if _, err := pipeline.Accessor(js, "B", "j"); err != nil {
 		t.Errorf("right dim accessor: %v", err)
 	}
-	if _, err := Accessor(js, "", "w"); err != nil {
+	if _, err := pipeline.Accessor(js, "", "w"); err != nil {
 		t.Errorf("unqualified attr accessor: %v", err)
 	}
 }
@@ -192,14 +193,14 @@ func TestAccessorNotCarried(t *testing.T) {
 		Dims:  []array.Dimension{{Name: "i", Start: 1, End: 50, ChunkInterval: 10}},
 		Attrs: []array.Attribute{{Name: "x", Type: array.TypeInt64}},
 	}
-	opt := Options{
+	opt := pipeline.Options{
 		ProjectFactory: func(j *logical.JoinSchema) (func(l, r *join.Tuple) []array.Value, error) {
 			// B.w is not referenced by τ or the predicate and was not
 			// declared as an extra carry: the accessor must refuse.
-			if _, err := Accessor(j, "B", "w"); err == nil {
+			if _, err := pipeline.Accessor(j, "B", "w"); err == nil {
 				t.Error("uncarried attribute should fail")
 			}
-			acc, err := Accessor(j, "A", "v") // v not carried either
+			acc, err := pipeline.Accessor(j, "A", "v") // v not carried either
 			if err == nil {
 				return func(l, r *join.Tuple) []array.Value {
 					return []array.Value{acc(l, r)}
@@ -212,7 +213,7 @@ func TestAccessorNotCarried(t *testing.T) {
 	}
 	dl, _ := c.Catalog.Lookup("A")
 	dr, _ := c.Catalog.Lookup("B")
-	if _, err := RunDistributed(c, dl, dr, pred, out, opt); err != nil {
+	if _, err := pipeline.RunDistributed(c, dl, dr, pred, out, opt); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,8 +11,13 @@ import (
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
 	"shufflejoin/internal/physical"
+	"shufflejoin/internal/pipeline"
 	"shufflejoin/internal/simnet"
 )
+
+// The join tests in this file drive pipeline.Run end to end, from the
+// package that used to re-export it; the redistribution tests are in
+// redistribute_test.go.
 
 // buildArray fills a 1-D array with n cells at random coordinates with
 // attribute v drawn from a small domain.
@@ -66,7 +71,7 @@ func TestDDMergeJoinCorrect(t *testing.T) {
 	b := buildArray("B<w:int>[i=1,200,20]", 2, 130, 100)
 	c := newCluster(t, 4, a, b)
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
-	rep, err := Run(c, "A", "B", pred, nil, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -89,7 +94,7 @@ func TestAAHashJoinCorrect(t *testing.T) {
 	c := newCluster(t, 4, a, b)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	algo := join.Hash
-	rep, err := Run(c, "A", "B", pred, out, Options{
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
 		ForceAlgo: &algo,
 		Logical:   logical.PlanOptions{Selectivity: 0.5},
 	})
@@ -111,7 +116,7 @@ func TestAllAlgorithmsSameMatches(t *testing.T) {
 	for _, algo := range []join.Algorithm{join.Hash, join.Merge, join.NestedLoop} {
 		algo := algo
 		c := newCluster(t, 3, a.Clone(), b.Clone())
-		rep, err := Run(c, "A", "B", pred, out, Options{ForceAlgo: &algo})
+		rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{ForceAlgo: &algo})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -135,7 +140,7 @@ func TestAllPlannersSameOutput(t *testing.T) {
 	var ref []array.StoredCell
 	for _, pl := range planners {
 		c := newCluster(t, 4, a.Clone(), b.Clone())
-		rep, err := Run(c, "A", "B", pred, nil, Options{Planner: pl})
+		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{Planner: pl})
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name(), err)
 		}
@@ -170,7 +175,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		algo := algo
 		run := func(parallelism int) outcome {
 			c := newCluster(t, 4, a.Clone(), b.Clone())
-			rep, err := Run(c, "A", "B", pred, nil, Options{Parallelism: parallelism, ForceAlgo: &algo})
+			rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{Parallelism: parallelism, ForceAlgo: &algo})
 			if err != nil {
 				t.Fatalf("%v parallelism=%d: %v", algo, parallelism, err)
 			}
@@ -221,7 +226,7 @@ func clampSetup(t *testing.T) (c *cluster.Cluster, out *array.Schema, pred join.
 
 func TestClampedCellsCounted(t *testing.T) {
 	c, out, pred, want := clampSetup(t)
-	rep, err := Run(c, "A", "B", pred, out, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -232,7 +237,7 @@ func TestClampedCellsCounted(t *testing.T) {
 
 func TestStrictBoundsRejectsClamp(t *testing.T) {
 	c, out, pred, _ := clampSetup(t)
-	if _, err := Run(c, "A", "B", pred, out, Options{StrictBounds: true}); err == nil {
+	if _, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{StrictBounds: true}); err == nil {
 		t.Error("StrictBounds should fail on out-of-range output cells")
 	}
 }
@@ -243,7 +248,7 @@ func TestStrictBoundsAcceptsInRange(t *testing.T) {
 	out := array.MustParseSchema("T<i:int, j:int>[v=0,39,8]") // covers the domain
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 4, a, b)
-	rep, err := Run(c, "A", "B", pred, out, Options{StrictBounds: true})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{StrictBounds: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -260,7 +265,7 @@ func TestUnorderedDestinationRowDim(t *testing.T) {
 		{Name: "i", Type: array.TypeInt64}, {Name: "j", Type: array.TypeInt64}}}
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 2, a, b)
-	rep, err := Run(c, "A", "B", pred, out, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -285,7 +290,7 @@ func TestPredicateNamedOutputDimension(t *testing.T) {
 	out := array.MustParseSchema("C<i:int, j:int>[v=0,19,5]")
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 2, a, b)
-	rep, err := Run(c, "A", "B", pred, out, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -313,7 +318,7 @@ func TestReportTimingsPopulated(t *testing.T) {
 	b := buildArray("B<w:int>[i=1,400,40]", 16, 300, 50)
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
 	c := newCluster(t, 4, a, b)
-	rep, err := Run(c, "A", "B", pred, nil, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +344,7 @@ func TestSchedulingAblation(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
 	run := func(s simnet.Scheduling) float64 {
 		c := newCluster(t, 4, a.Clone(), b.Clone())
-		rep, err := Run(c, "A", "B", pred, nil, Options{
+		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
 			Scheduling: s,
 			Planner:    physical.BaselinePlanner{}, // forces movement
 		})
@@ -358,7 +363,7 @@ func TestSchedulingAblation(t *testing.T) {
 func TestRunUnknownArray(t *testing.T) {
 	c := cluster.MustNew(2)
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
-	if _, err := Run(c, "nope", "nada", pred, nil, Options{}); err == nil {
+	if _, err := pipeline.Run(c, "nope", "nada", pred, nil, pipeline.Options{}); err == nil {
 		t.Error("unknown arrays should error")
 	}
 }
@@ -375,12 +380,12 @@ func TestForceAlgoUnavailable(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	algo := join.Merge
 	out := &array.Schema{Name: "T", Attrs: []array.Attribute{{Name: "i", Type: array.TypeInt64}}}
-	if _, err := Run(c, "A", "B", pred, out, Options{ForceAlgo: &algo}); err == nil {
+	if _, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{ForceAlgo: &algo}); err == nil {
 		t.Error("forcing merge with string keys should error")
 	}
 	// Hash works.
 	algoH := join.Hash
-	rep, err := Run(c, "A", "B", pred, out, Options{ForceAlgo: &algoH})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{ForceAlgo: &algoH})
 	if err != nil {
 		t.Fatalf("hash on strings: %v", err)
 	}
@@ -401,7 +406,7 @@ func TestStringJoinCorrectness(t *testing.T) {
 	c := newCluster(t, 3, a, b)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	out := &array.Schema{Name: "T", Attrs: []array.Attribute{{Name: "i", Type: array.TypeInt64}}}
-	rep, err := Run(c, "A", "B", pred, out, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +432,7 @@ func TestEmptyInputs(t *testing.T) {
 	b := buildArray("B<w:int>[i=1,100,10]", 41, 50, 10)
 	c := newCluster(t, 3, a, b)
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
-	rep, err := Run(c, "A", "B", pred, nil, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("empty left: %v", err)
 	}
@@ -438,7 +443,7 @@ func TestEmptyInputs(t *testing.T) {
 	c2 := newCluster(t, 2,
 		array.MustNew(array.MustParseSchema("A<v:int>[i=1,100,10]")),
 		array.MustNew(array.MustParseSchema("B<w:int>[i=1,100,10]")))
-	rep2, err := Run(c2, "A", "B", pred, nil, Options{})
+	rep2, err := pipeline.Run(c2, "A", "B", pred, nil, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("both empty: %v", err)
 	}
@@ -463,7 +468,7 @@ func TestDuplicateCoordinates(t *testing.T) {
 	for _, algo := range []join.Algorithm{join.Hash, join.Merge, join.NestedLoop} {
 		algo := algo
 		c := newCluster(t, 2, a.Clone(), b.Clone())
-		rep, err := Run(c, "A", "B", pred, nil, Options{ForceAlgo: &algo})
+		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{ForceAlgo: &algo})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}

@@ -1,3 +1,7 @@
+// Package exec implements distributed redistribution: the standalone
+// redimension / repartition operation (Section 2.3.1 of the paper) that
+// moves every cell to the node owning its destination chunk, then sorts
+// the chunks. Joins execute through internal/pipeline.
 package exec
 
 import (

@@ -26,7 +26,7 @@ func BenchmarkHashJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		HashJoin(left, right, nil)
+		HashJoinStream(&SliceStream{Tuples: left}, &SliceStream{Tuples: right}, nil)
 	}
 	b.ReportMetric(float64(len(left)+len(right)), "cells")
 }
@@ -50,7 +50,7 @@ func BenchmarkNestedLoopJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NestedLoopJoin(left, right, nil)
+		NestedLoopJoinStream(&SliceStream{Tuples: left}, &SliceStream{Tuples: right}, nil)
 	}
 }
 
@@ -66,23 +66,20 @@ func BenchmarkSortTuples(b *testing.B) {
 }
 
 // BenchmarkScratchPoolsConcurrent is the pool-sharding gate for this
-// package: the tuple-slice and hash-index scratch pools must hold
-// steady-state 0 allocs/op with 16 concurrent compare workers — the
-// multi-query serving shape — now that both are process-shared sharded
-// pools instead of sync.Pools.
+// package: the hash-index scratch pool must hold steady-state 0
+// allocs/op with 16 concurrent compare workers — the multi-query
+// serving shape — now that it is a process-shared sharded pool instead
+// of a sync.Pool.
 func BenchmarkScratchPoolsConcurrent(b *testing.B) {
 	src := benchTuples(512, false, 9)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			ts := GetTuples()
-			ts = append(ts, src...)
-			idx := getHashIndex(len(ts))
-			for i := range ts {
+			idx := getHashIndex(len(src))
+			for i := range src {
 				idx.insert(i, uint64(i)*0x9e3779b97f4a7c15)
 			}
 			putHashIndex(idx)
-			PutTuples(ts)
 		}
 	})
 }

@@ -1,8 +1,9 @@
 // Package join implements the cell-comparison algorithms of the shuffle
 // join framework (Section 3.2 of the paper): hash join, merge join, and
-// nested loop join. Each algorithm processes one join unit — a pair of cell
-// sets, one per input array, that together cover a non-overlapping region
-// of the predicate space — and emits matching cell pairs.
+// nested loop join, over pull-based tuple streams (stream.go). Each
+// algorithm processes one join unit — a pair of cell sets, one per input
+// array, that together cover a non-overlapping region of the predicate
+// space — and emits matching cell pairs.
 //
 // The algorithms also report operation counts (hash builds, probes, cursor
 // steps, raw comparisons) that the physical planner's analytical cost model
@@ -131,63 +132,12 @@ func (s *Stats) Add(o Stats) {
 // EmitFunc receives each matching pair: the left and right tuples.
 type EmitFunc func(l, r *Tuple)
 
-// Run executes the chosen algorithm over one join unit.
-func Run(alg Algorithm, left, right []Tuple, emit EmitFunc) (Stats, error) {
-	switch alg {
-	case Hash:
-		return HashJoin(left, right, emit), nil
-	case Merge:
-		return MergeJoin(left, right, emit)
-	case NestedLoop:
-		return NestedLoopJoin(left, right, emit), nil
-	default:
-		return Stats{}, fmt.Errorf("join: unknown algorithm %d", alg)
-	}
-}
-
-// HashJoin builds a hash map over the smaller side of the join and probes
-// it with each cell of the larger side. Building a hash entry is costlier
-// than probing one, which is why the algorithm always builds on the small
-// side (Section 5.1's cost C_i = b·t_i + p·u_i).
-func HashJoin(left, right []Tuple, emit EmitFunc) Stats {
-	var st Stats
-	build, probe := left, right
-	swapped := false
-	if len(right) < len(left) {
-		build, probe = right, left
-		swapped = true
-	}
-	table := make(map[uint64][]int, len(build))
-	for i := range build {
-		h := keyHash(&build[i])
-		table[h] = append(table[h], i)
-		st.BuildOps++
-	}
-	for i := range probe {
-		st.ProbeOps++
-		h := keyHash(&probe[i])
-		for _, j := range table[h] {
-			st.Comparisons++
-			if KeyEqual(&probe[i], &build[j]) {
-				st.Matches++
-				if emit != nil {
-					if swapped {
-						emit(&probe[i], &build[j])
-					} else {
-						emit(&build[j], &probe[i])
-					}
-				}
-			}
-		}
-	}
-	return st
-}
-
-// HashJoinBuildSide is HashJoin with the build side fixed by the caller
-// instead of chosen as the smaller input. It exists for the build-side
-// ablation benchmark: the paper observes that building a hash map costs
-// much more per cell than probing one, which is why the planner's cost
-// model always builds on the smaller side.
+// HashJoinBuildSide is a hash join with the build side fixed by the
+// caller instead of chosen as the smaller input (HashJoinStream's
+// choice). It exists for the build-side ablation benchmark: the paper
+// observes that building a hash map costs much more per cell than
+// probing one, which is why the planner's cost model always builds on
+// the smaller side (Section 5.1's cost C_i = b·t_i + p·u_i).
 func HashJoinBuildSide(build, probe []Tuple, emit EmitFunc) Stats {
 	var st Stats
 	table := make(map[uint64][]int, len(build))
@@ -251,35 +201,4 @@ func MergeJoin(left, right []Tuple, emit EmitFunc) (Stats, error) {
 		}
 	}
 	return st, nil
-}
-
-// NestedLoopJoin loops the larger side over the smaller, comparing every
-// pair. It replaces the hash map of HashJoin with a scan, giving
-// polynomial O(n_l · n_r) time; the paper shows it is never profitable
-// (Sections 4 and 6.1) but it remains available as the fallback that works
-// on any input.
-func NestedLoopJoin(left, right []Tuple, emit EmitFunc) Stats {
-	var st Stats
-	inner, outer := left, right
-	swapped := false
-	if len(right) < len(left) {
-		inner, outer = right, left
-		swapped = true
-	}
-	for i := range outer {
-		for j := range inner {
-			st.Comparisons++
-			if KeyEqual(&outer[i], &inner[j]) {
-				st.Matches++
-				if emit != nil {
-					if swapped {
-						emit(&outer[i], &inner[j])
-					} else {
-						emit(&inner[j], &outer[i])
-					}
-				}
-			}
-		}
-	}
-	return st
 }

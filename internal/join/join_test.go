@@ -18,17 +18,66 @@ func intTuples(keys ...int64) []Tuple {
 	return ts
 }
 
+// nestedLoopRef is the test oracle: it compares every pair of full
+// tuples, looping the larger side over the smaller (the left side is
+// the inner one on ties), and emits matches as (left, right). That is
+// also the emit order HashJoinStream and NestedLoopJoinStream are
+// specified to produce.
+func nestedLoopRef(left, right []Tuple, emit EmitFunc) Stats {
+	var st Stats
+	for _, p := range orderedPairs(left, right) {
+		st.Comparisons++
+		if KeyEqual(p.l, p.r) {
+			st.Matches++
+			if emit != nil {
+				emit(p.l, p.r)
+			}
+		}
+	}
+	return st
+}
+
+type tuplePair struct{ l, r *Tuple }
+
+// orderedPairs lists every (left, right) pair in nestedLoopRef's order.
+func orderedPairs(left, right []Tuple) []tuplePair {
+	var out []tuplePair
+	if len(right) < len(left) {
+		for i := range left {
+			for j := range right {
+				out = append(out, tuplePair{&left[i], &right[j]})
+			}
+		}
+		return out
+	}
+	for j := range right {
+		for i := range left {
+			out = append(out, tuplePair{&left[i], &right[j]})
+		}
+	}
+	return out
+}
+
+// runSlices runs alg over in-memory sides through RunStream. The sides
+// are copied, since merge join sorts its inputs in place.
+func runSlices(alg Algorithm, left, right []Tuple, window int, emit EmitFunc) (Stats, error) {
+	return RunStream(alg,
+		&SliceStream{Tuples: append([]Tuple(nil), left...), Window: window},
+		&SliceStream{Tuples: append([]Tuple(nil), right...), Window: window},
+		emit)
+}
+
 // pair is a match rendered as (left key, right key) for comparison.
 type pair struct{ l, r int64 }
 
 func collect(t *testing.T, alg Algorithm, left, right []Tuple) ([]pair, Stats) {
 	t.Helper()
 	var out []pair
-	st, err := Run(alg, left, right, func(l, r *Tuple) {
+	st, err := runSlices(alg, left, right, 0, func(l, r *Tuple) {
 		out = append(out, pair{l.Key[0].AsInt(), r.Key[0].AsInt()})
 	})
 	if err != nil {
-		t.Fatalf("Run(%v): %v", alg, err)
+		t.Fatalf("RunStream(%v): %v", alg, err)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].l != out[j].l {
@@ -90,14 +139,14 @@ func TestMergeRequiresSorted(t *testing.T) {
 func TestHashBuildsSmallerSide(t *testing.T) {
 	small := intTuples(1, 2)
 	large := intTuples(1, 2, 3, 4, 5, 6)
-	st := HashJoin(large, small, nil)
+	st, _ := runSlices(Hash, large, small, 0, nil)
 	if st.BuildOps != 2 {
 		t.Errorf("BuildOps = %d, want 2 (build on smaller side)", st.BuildOps)
 	}
 	if st.ProbeOps != 6 {
 		t.Errorf("ProbeOps = %d, want 6", st.ProbeOps)
 	}
-	st = HashJoin(small, large, nil)
+	st, _ = runSlices(Hash, small, large, 0, nil)
 	if st.BuildOps != 2 || st.ProbeOps != 6 {
 		t.Errorf("side order changed build choice: %+v", st)
 	}
@@ -116,13 +165,13 @@ func TestHashEmitPreservesSideOrientation(t *testing.T) {
 			t.Errorf("emit orientation wrong: l=%v r=%v", l.Attrs[0], r.Attrs[0])
 		}
 	}
-	HashJoin(left, right, check)              // builds left (smaller)
-	HashJoin(right, left, func(l, r *Tuple) { // left arg is the 2-tuple side
+	runSlices(Hash, left, right, 0, check)              // builds left (smaller)
+	runSlices(Hash, right, left, 0, func(l, r *Tuple) { // left arg is the 2-tuple side
 		if l.Attrs[0].Str != "R" || r.Attrs[0].Str != "L" {
 			t.Errorf("swapped emit orientation wrong: l=%v r=%v", l.Attrs[0], r.Attrs[0])
 		}
 	})
-	NestedLoopJoin(left, right, check)
+	runSlices(NestedLoop, left, right, 0, check)
 }
 
 func TestMultiColumnKeys(t *testing.T) {
@@ -133,7 +182,7 @@ func TestMultiColumnKeys(t *testing.T) {
 	right := []Tuple{mk(1, 2), mk(2, 2)}
 	for _, alg := range []Algorithm{Hash, Merge, NestedLoop} {
 		var n int
-		if _, err := Run(alg, left, right, func(l, r *Tuple) { n++ }); err != nil {
+		if _, err := runSlices(alg, left, right, 0, func(l, r *Tuple) { n++ }); err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		if n != 1 {
@@ -147,7 +196,7 @@ func TestCrossKindNumericKeys(t *testing.T) {
 	right := []Tuple{{Key: []array.Value{array.FloatValue(3.0)}}}
 	for _, alg := range []Algorithm{Hash, Merge, NestedLoop} {
 		var n int
-		if _, err := Run(alg, left, right, func(l, r *Tuple) { n++ }); err != nil {
+		if _, err := runSlices(alg, left, right, 0, func(l, r *Tuple) { n++ }); err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		if n != 1 {
@@ -156,8 +205,8 @@ func TestCrossKindNumericKeys(t *testing.T) {
 	}
 }
 
-// Property test: hash and merge joins agree with nested loop (the reference
-// implementation) on random inputs.
+// Property test: every algorithm agrees with the nested-loop oracle on
+// random inputs.
 func TestAlgorithmsEquivalentProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -170,20 +219,14 @@ func TestAlgorithmsEquivalentProperty(t *testing.T) {
 		}
 		left, right := gen(rng.Intn(60)), gen(rng.Intn(60))
 		count := func(alg Algorithm) int64 {
-			l := append([]Tuple(nil), left...)
-			r := append([]Tuple(nil), right...)
-			if alg == Merge {
-				SortTuples(l)
-				SortTuples(r)
-			}
-			st, err := Run(alg, l, r, nil)
+			st, err := runSlices(alg, left, right, rng.Intn(8), nil)
 			if err != nil {
 				return -1
 			}
 			return st.Matches
 		}
-		ref := count(NestedLoop)
-		return count(Hash) == ref && count(Merge) == ref
+		ref := nestedLoopRef(left, right, nil).Matches
+		return count(Hash) == ref && count(Merge) == ref && count(NestedLoop) == ref
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -214,7 +257,7 @@ func TestStatsAdd(t *testing.T) {
 }
 
 func TestRunUnknownAlgorithm(t *testing.T) {
-	if _, err := Run(Algorithm(99), nil, nil, nil); err == nil {
+	if _, err := runSlices(Algorithm(99), nil, nil, 0, nil); err == nil {
 		t.Error("unknown algorithm should error")
 	}
 }
@@ -222,7 +265,7 @@ func TestRunUnknownAlgorithm(t *testing.T) {
 func TestNestedLoopQuadraticWork(t *testing.T) {
 	left := intTuples(1, 2, 3, 4)
 	right := intTuples(5, 6, 7)
-	st := NestedLoopJoin(left, right, nil)
+	st, _ := runSlices(NestedLoop, left, right, 1, nil)
 	if st.Comparisons != 12 {
 		t.Errorf("Comparisons = %d, want 12", st.Comparisons)
 	}

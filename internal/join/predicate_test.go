@@ -123,7 +123,10 @@ func TestAlgorithmString(t *testing.T) {
 func TestHashJoinBuildSideAgreesWithHashJoin(t *testing.T) {
 	left := intTuples(1, 2, 2, 3, 9)
 	right := intTuples(2, 3, 3, 8)
-	want := HashJoin(left, right, nil).Matches
+	want := nestedLoopRef(left, right, nil).Matches
+	if st, _ := runSlices(Hash, left, right, 0, nil); st.Matches != want {
+		t.Fatalf("HashJoinStream matches = %d, want %d", st.Matches, want)
+	}
 	if got := HashJoinBuildSide(left, right, nil).Matches; got != want {
 		t.Errorf("build-left matches = %d, want %d", got, want)
 	}

@@ -1,11 +1,8 @@
-// Streaming variants of the cell-comparison algorithms: the same three
-// algorithms as join.go, operating on pull-based tuple streams instead
-// of fully materialized []Tuple sides. Every streaming variant is
-// emit-order and statistics bit-identical to its materializing
-// reference — the differential tests in stream_test.go and the pipeline
-// equivalence suite pin that — which is what lets the engine switch the
-// default data plane to streaming while keeping the materializing path
-// as the reference for differential testing.
+// The cell-comparison algorithms over pull-based tuple streams: each
+// side of a join unit arrives as a TupleStream instead of a fully
+// materialized []Tuple. Emit order and statistics are pinned against a
+// nested-loop oracle over full tuples (stream_test.go) and, end to end,
+// by the pipeline's golden digests.
 package join
 
 import (
@@ -19,7 +16,7 @@ import (
 //
 // Len reports the total tuple count up front (slice sizes are known
 // after slice mapping), which the algorithms use for build/inner-side
-// selection exactly as the materializing reference does.
+// selection.
 //
 // Next returns the next window of tuples, or ok=false at exhaustion.
 // The window — and every slice its tuples reference — is valid only
@@ -38,8 +35,7 @@ type TupleStream interface {
 
 // SliceStream adapts an in-memory []Tuple to TupleStream, yielding
 // windows of at most Window tuples (0 = everything in one window).
-// Used by differential tests and as the bridge from materialized
-// slices.
+// Used by tests and benchmarks as the bridge from in-memory sides.
 type SliceStream struct {
 	Tuples []Tuple
 	Window int
@@ -71,8 +67,8 @@ func (s *SliceStream) Materialize() []Tuple {
 }
 
 // RunStream executes the chosen algorithm over one join unit's streamed
-// sides. Emit order and Stats are bit-identical to Run over the
-// materialized equivalents of the same streams.
+// sides. Emit order and Stats do not depend on the streams' window
+// sizes.
 func RunStream(alg Algorithm, left, right TupleStream, emit EmitFunc) (Stats, error) {
 	switch alg {
 	case Hash:
@@ -86,14 +82,15 @@ func RunStream(alg Algorithm, left, right TupleStream, emit EmitFunc) (Stats, er
 	}
 }
 
-// HashJoinStream is HashJoin over streams: it materializes the smaller
-// side (same side selection and tie-break as HashJoin), builds a pooled
-// open-chaining index over it, and probes with the larger side one
-// window at a time — bounded probe-side memory. Chains are built by
-// inserting in descending tuple order so traversal yields ascending
-// insertion order, matching the reference's map-of-append-slices emit
-// order; Comparisons counts full-hash bucket hits exactly as the
-// reference's per-hash buckets do.
+// HashJoinStream builds a hash index over the smaller side of the join
+// (the left side on ties) and probes it with each tuple of the larger
+// side, one window at a time — bounded probe-side memory. Building a
+// hash entry is costlier than probing one, which is why the algorithm
+// always builds on the small side (Section 5.1's cost
+// C_i = b·t_i + p·u_i). Chains are built by inserting in descending
+// tuple order so traversal yields ascending build order: each probe
+// tuple emits its matches in build-side order. Comparisons counts
+// build tuples whose full 64-bit key hash equals the probe's.
 func HashJoinStream(left, right TupleStream, emit EmitFunc) Stats {
 	var st Stats
 	build, probe := left, right
@@ -139,11 +136,10 @@ func HashJoinStream(left, right TupleStream, emit EmitFunc) Stats {
 }
 
 // MergeJoinStream is the merge join over streams. Reassembled join
-// units arrive as concatenations of sorted slices, so — exactly like
-// the engine's materializing compare path — both sides are materialized
-// and sorted with SortTuples before the cursor walk; sort.Slice is
-// deterministic for a given input order, so tie order matches the
-// reference bit for bit.
+// units arrive as concatenations of sorted slices, so both sides are
+// materialized and sorted with SortTuples (Section 3.4's preprocessing)
+// before MergeJoin's cursor walk; sort.Slice is deterministic for a
+// given input order, so tie order is reproducible.
 func MergeJoinStream(left, right TupleStream, emit EmitFunc) (Stats, error) {
 	lt := left.Materialize()
 	rt := right.Materialize()
@@ -152,10 +148,12 @@ func MergeJoinStream(left, right TupleStream, emit EmitFunc) (Stats, error) {
 	return MergeJoin(lt, rt, emit)
 }
 
-// NestedLoopJoinStream is NestedLoopJoin over streams: the smaller side
-// (same selection and tie-break as the reference's inner side) is
-// materialized and the larger side streams through one window at a
-// time.
+// NestedLoopJoinStream loops the larger side over the smaller, comparing
+// every pair: the smaller side (the left side on ties) is materialized
+// as the inner side and the larger side streams through one window at
+// a time. Polynomial O(n_l · n_r) time; the paper shows it is never
+// profitable (Sections 4 and 6.1) but it remains available as the
+// fallback that works on any input.
 func NestedLoopJoinStream(left, right TupleStream, emit EmitFunc) Stats {
 	var st Stats
 	inner, outer := left, right
@@ -193,7 +191,7 @@ func NestedLoopJoinStream(left, right TupleStream, emit EmitFunc) Stats {
 // indices: slots holds the head index per bucket (-1 empty), next the
 // chain links, hashes the full 64-bit key hash per tuple (so bucket
 // collisions between distinct hashes are skipped without a key
-// comparison, matching the reference's map-keyed-by-hash semantics).
+// comparison).
 type hashIndex struct {
 	mask   uint64
 	slots  []int32
@@ -246,26 +244,3 @@ func (ix *hashIndex) insert(i int, h uint64) {
 }
 
 func (ix *hashIndex) first(h uint64) int32 { return ix.slots[h&ix.mask] }
-
-// tuplePool recycles []Tuple scratch buffers for the compare hot path:
-// unit assembly and pre-merge sorts previously allocated a fresh slice
-// per join unit. Only the backing array is reused — tuple contents are
-// fully overwritten by the next user. The typed par.Pool stores the
-// slice header by value, so Put does not box it into an interface (an
-// allocation per call under sync.Pool), and the retained buffers
-// survive GC cycles between queries.
-var tuplePool = par.NewPool[[]Tuple](0, 64)
-
-// GetTuples returns an empty pooled tuple slice to append into.
-func GetTuples() []Tuple {
-	if ts, ok := tuplePool.Get(); ok {
-		return ts[:0]
-	}
-	return make([]Tuple, 0, 256)
-}
-
-// PutTuples recycles a slice obtained from GetTuples (or any scratch
-// slice whose contents are dead). The caller must not use ts afterward.
-func PutTuples(ts []Tuple) {
-	tuplePool.Put(ts[:0])
-}

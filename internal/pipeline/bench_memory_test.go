@@ -9,10 +9,9 @@ import (
 	"shufflejoin/internal/pipeline"
 )
 
-// BenchmarkQueryFootprint compares the two data planes end to end on an
-// identical query: B/op and allocs/op are the comparison of record (the
-// memory-bench CI job asserts the streaming plane allocates less than
-// the materializing reference).
+// BenchmarkQueryFootprint measures one query end to end: B/op and
+// allocs/op are the figures of record (the memory-bench CI job holds
+// them under absolute bounds).
 func BenchmarkQueryFootprint(b *testing.B) {
 	// Near-unique keys: few matches, so the measurement is dominated by
 	// the data plane (map, shuffle, compare), not output assembly.
@@ -20,8 +19,7 @@ func BenchmarkQueryFootprint(b *testing.B) {
 	a2 := buildArray("B<w:int>[j=1,6000,300]", 22, 4000, 40_000)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 
-	run := func(b *testing.B, materialize bool) {
-		b.Helper()
+	b.Run("streaming", func(b *testing.B) {
 		c := cluster.MustNew(4)
 		c.Load(a1.Clone(), cluster.RoundRobin)
 		c.Load(a2.Clone(), cluster.RoundRobin)
@@ -31,9 +29,8 @@ func BenchmarkQueryFootprint(b *testing.B) {
 		var matches int64
 		for i := 0; i < b.N; i++ {
 			rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-				ForceAlgo:   &algo,
-				Logical:     logical.PlanOptions{Selectivity: 0.5},
-				Materialize: materialize,
+				ForceAlgo: &algo,
+				Logical:   logical.PlanOptions{Selectivity: 0.5},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -41,8 +38,5 @@ func BenchmarkQueryFootprint(b *testing.B) {
 			matches = rep.Matches
 		}
 		b.ReportMetric(float64(matches), "matches")
-	}
-
-	b.Run("streaming", func(b *testing.B) { run(b, false) })
-	b.Run("materialized", func(b *testing.B) { run(b, true) })
+	})
 }

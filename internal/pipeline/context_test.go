@@ -68,10 +68,15 @@ func TestContextIgnoredWhenDone(t *testing.T) {
 	reportsEquivalent(t, "ctx-vs-none", ctxed, plain)
 }
 
+// goldenGated pins the digest (see digest) of TestGatedEquivalence's
+// query, gated or not.
+const goldenGated = "21a80a554741dfcaee2dd1b4"
+
 // TestGatedEquivalence is the scheduler's determinism boundary: a query
 // executed through a sched.Ticket gate (shared sim pool, compare slots,
 // memory reservation) produces bit-identical results to an ungated run,
-// in both overlap modes.
+// and both match the pinned digest. The barrier= subtests date from when
+// two compare paths existed; both now run the one compare path.
 func TestGatedEquivalence(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,300,30]", 5, 150, 30)
 	b := buildArray("B<w:int>[j=1,300,30]", 6, 160, 30)
@@ -83,9 +88,8 @@ func TestGatedEquivalence(t *testing.T) {
 			run := func(gate pipeline.Gate) *pipeline.Report {
 				c := newCluster(t, 4, a.Clone(), b.Clone())
 				rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-					Ctx:     context.Background(),
-					Gate:    gate,
-					Barrier: barrier,
+					Ctx:  context.Background(),
+					Gate: gate,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -100,6 +104,8 @@ func TestGatedEquivalence(t *testing.T) {
 			gated := run(tk)
 			tk.Done()
 			reportsEquivalent(t, "gated-vs-plain", gated, plain)
+			checkGolden(t, "plain", digest(plain, ""), goldenGated)
+			checkGolden(t, "gated", digest(gated, ""), goldenGated)
 			snap := s.Snapshot()
 			if snap.AlignSlotsFree != 1 || snap.CompareSlotsFree != 1 {
 				t.Fatalf("slots leaked: %+v", snap)

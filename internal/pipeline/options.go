@@ -40,24 +40,7 @@ type Options struct {
 	// sequential execution, and n > 1 uses n workers. Output, join stats,
 	// and modeled times are bit-for-bit identical at every setting.
 	Parallelism int
-	// Barrier disables the default overlapped execution — in which a join
-	// unit's comparison is dispatched the moment its last inbound slice
-	// lands in the simulated shuffle — and instead runs the pre-pipeline
-	// reference path: a global alignment barrier followed by per-node
-	// comparison. Output, modeled times, and trace fingerprints are
-	// bit-for-bit identical in both modes at every Parallelism setting;
-	// the knob exists for the equivalence test and for ablations.
-	Barrier bool
-	// Materialize switches the data plane back to the materializing
-	// reference path: full per-cell tuple slice sets (shuffle.MapSideN)
-	// and whole-unit Assemble copies, as the pre-streaming engine ran.
-	// The default (false) is the pull-based columnar batch-streaming
-	// path, whose results — output cells, join statistics, modeled
-	// times — are bit-for-bit identical; the knob exists for the
-	// differential tests and the memory benchmarks, the same way simnet
-	// keeps its reference simulator.
-	Materialize bool
-	// BatchSize is the row capacity of the streaming path's columnar
+	// BatchSize is the row capacity of the streaming data plane's columnar
 	// batches (and thus the granularity of its memory accounting and
 	// pull windows); 0 uses shuffle.DefaultBatchRows.
 	BatchSize int
@@ -66,8 +49,7 @@ type Options struct {
 	// contents live in the per-query intern dictionary). 0 means
 	// unlimited. By default overflow is counted, not fatal:
 	// Report.MemoryOverflowBytes records how far the peak exceeded the
-	// budget, mirroring the ClampedCells pattern. Ignored on the
-	// materializing path.
+	// budget, mirroring the ClampedCells pattern.
 	MemoryBudget int64
 	// StrictMemory makes a MemoryBudget violation fail the query (with
 	// an error wrapping batch.ErrBudget) instead of merely counting the
@@ -351,8 +333,7 @@ type Report struct {
 	// and value). Because batch bytes only accumulate while slice
 	// mapping runs and only drain as comparison retires join units, the
 	// peak equals the total mapped bytes and is deterministic at every
-	// Parallelism setting and in both overlap modes. Zero on the
-	// materializing path (SliceMap stage).
+	// Parallelism setting (SliceMap stage).
 	PeakBatchBytes int64
 	// InternedStrings is the number of distinct string values the
 	// query's intern dictionary holds after slice mapping; zero when no
@@ -360,8 +341,7 @@ type Report struct {
 	InternedStrings int64
 	// MemoryOverflowBytes is how far PeakBatchBytes exceeded
 	// Options.MemoryBudget — the counted-mode analogue of ClampedCells.
-	// Zero when within budget, unbudgeted, or materializing (SliceMap
-	// stage).
+	// Zero when within budget or unbudgeted (SliceMap stage).
 	MemoryOverflowBytes int64
 
 	// ClampedCells counts output cells whose coordinates fell outside the

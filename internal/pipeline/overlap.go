@@ -7,16 +7,13 @@ import (
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
-	"shufflejoin/internal/par"
 	"shufflejoin/internal/physical"
 	"shufflejoin/internal/simnet"
 )
 
 // nodeOut is one node's merged comparison products: the cells it emitted
 // (in deterministic order), its join statistics, and its modeled compare
-// seconds. Both compare paths — overlapped and barrier — reduce to a
-// []nodeOut indexed by node, which is what makes their outputs directly
-// comparable (and bit-for-bit identical).
+// seconds.
 type nodeOut struct {
 	cells []array.StoredCell
 	stats join.Stats
@@ -105,8 +102,7 @@ func (cr *compareRunner) dispatch(u int) {
 }
 
 // wait stops accepting work and blocks until every dispatched unit has
-// finished. Safe to call more than once only via sync.Once-style external
-// discipline; the pipeline calls it exactly once (Compare stage, or the
+// finished. The pipeline calls it exactly once (Compare stage, or the
 // Align stage's error path).
 func (cr *compareRunner) wait() {
 	if !cr.inline {
@@ -115,11 +111,9 @@ func (cr *compareRunner) wait() {
 	}
 }
 
-// runUnit assembles and joins one unit on its destination node: a
-// pull-chain of pooled TupleReaders on the streaming path, or pooled
-// whole-unit scratch assembly on the materializing reference path.
-// Either way the projector copies every emitted value, so the unit's
-// working tuples are recycled the moment the join returns.
+// runUnit joins one unit on its destination node through a pull-chain
+// of pooled TupleReaders. The projector copies every emitted value, so
+// the unit's batches are recycled the moment the join returns.
 func (cr *compareRunner) runUnit(u int) {
 	qc := cr.qc
 	res := &cr.results[u]
@@ -136,34 +130,16 @@ func (cr *compareRunner) runUnit(u int) {
 		coords, attrs := uproj.project(l, r)
 		res.cells = append(res.cells, array.StoredCell{Coords: coords, Attrs: attrs})
 	}
-	var st join.Stats
-	var err error
-	var nl, nr int
-	if qc.streaming() {
-		lrd := qc.rsl.Reader(u, dest)
-		rrd := qc.rsr.Reader(u, dest)
-		nl, nr = lrd.Len(), rrd.Len()
-		st, err = join.RunStream(qc.plan.Algo, lrd, rrd, emit)
-		lrd.Close()
-		rrd.Close()
-		// The unit is fully consumed: recycle its batches and return
-		// their bytes to the query budget.
-		qc.rsl.ReleaseUnit(u)
-		qc.rsr.ReleaseUnit(u)
-	} else {
-		left := qc.ssl.AppendUnit(join.GetTuples(), u, dest)
-		right := qc.ssr.AppendUnit(join.GetTuples(), u, dest)
-		nl, nr = len(left), len(right)
-		if qc.plan.Algo == join.Merge {
-			// Reassembled units are concatenations of sorted slices;
-			// restore full key order (Section 3.4's preprocessing).
-			join.SortTuples(left)
-			join.SortTuples(right)
-		}
-		st, err = join.Run(qc.plan.Algo, left, right, emit)
-		join.PutTuples(left)
-		join.PutTuples(right)
-	}
+	lrd := qc.rsl.Reader(u, dest)
+	rrd := qc.rsr.Reader(u, dest)
+	nl, nr := lrd.Len(), rrd.Len()
+	st, err := join.RunStream(qc.plan.Algo, lrd, rrd, emit)
+	lrd.Close()
+	rrd.Close()
+	// The unit is fully consumed: recycle its batches and return their
+	// bytes to the query budget.
+	qc.rsl.ReleaseUnit(u)
+	qc.rsr.ReleaseUnit(u)
 	if err != nil {
 		res.err = err
 		return
@@ -175,8 +151,9 @@ func (cr *compareRunner) runUnit(u int) {
 // fold merges per-unit results into per-node outputs in deterministic
 // order — node ascending, units in assignment order, cells in emit order —
 // renumbering synthetic row coordinates to the node's stride-K sequence
-// and applying the same float-accumulation order as the barrier path, so
-// the merged nodeOut values are bit-for-bit identical to runBarrier's.
+// (node, node+K, node+2K, …, disjoint across nodes) and accumulating
+// modeled seconds per node in that same order, so the merged nodeOut
+// values do not depend on which worker finished first.
 func (cr *compareRunner) fold() []nodeOut {
 	qc := cr.qc
 	k := qc.Cluster.K
@@ -203,65 +180,6 @@ func (cr *compareRunner) fold() []nodeOut {
 		addPostJoinTime(no, qc.plan, qc.Opt.Params)
 	}
 	return nodes
-}
-
-// runBarrier is the reference compare path (Options.Barrier): it starts
-// only after the full alignment simulation and processes each node's units
-// as one sequential batch, exactly as the pre-pipeline executor did.
-func runBarrier(qc *QueryContext) []nodeOut {
-	k := qc.Cluster.K
-	results := make([]nodeOut, k)
-	process := func(node int) {
-		no := &results[node]
-		// Each node projects with its own row counter (stride K) so
-		// synthetic row coordinates are unique and deterministic whether
-		// or not nodes run concurrently.
-		nproj := qc.proj.forNode(node, k)
-		emitTo := func(l, r *join.Tuple) {
-			coords, attrs := nproj.project(l, r)
-			no.cells = append(no.cells, array.StoredCell{Coords: coords, Attrs: attrs})
-		}
-		for _, u := range qc.nodeUnits[node] {
-			// Mirror the overlapped path's per-unit cancellation point.
-			if err := qc.ctx.Err(); err != nil {
-				no.err = err
-				return
-			}
-			var st join.Stats
-			var err error
-			var nl, nr int
-			if qc.streaming() {
-				lrd := qc.rsl.Reader(u, node)
-				rrd := qc.rsr.Reader(u, node)
-				nl, nr = lrd.Len(), rrd.Len()
-				st, err = join.RunStream(qc.plan.Algo, lrd, rrd, emitTo)
-				lrd.Close()
-				rrd.Close()
-				qc.rsl.ReleaseUnit(u)
-				qc.rsr.ReleaseUnit(u)
-			} else {
-				left := qc.ssl.AppendUnit(join.GetTuples(), u, node)
-				right := qc.ssr.AppendUnit(join.GetTuples(), u, node)
-				nl, nr = len(left), len(right)
-				if qc.plan.Algo == join.Merge {
-					join.SortTuples(left)
-					join.SortTuples(right)
-				}
-				st, err = join.Run(qc.plan.Algo, left, right, emitTo)
-				join.PutTuples(left)
-				join.PutTuples(right)
-			}
-			if err != nil {
-				no.err = err
-				return
-			}
-			no.stats.Add(st)
-			no.time += unitModelTime(qc.plan.Algo, qc.Opt.Params, nl, nr)
-		}
-		addPostJoinTime(no, qc.plan, qc.Opt.Params)
-	}
-	par.ForEach(k, qc.Opt.workers(), process)
-	return results
 }
 
 // addPostJoinTime models the per-node post-join output handling: sorting

@@ -6,9 +6,8 @@
 //
 // — threading one QueryContext that carries the cluster, the options, the
 // observability trace, and every intermediate product from stage to
-// stage. internal/exec re-exports the entry points for compatibility;
-// the AQL runner, the public facade, and both CLIs all execute through
-// Run / RunDistributed here.
+// stage. The AQL runner, the public facade, and both CLIs all execute
+// through Run / RunDistributed here.
 //
 // # Overlapped execution
 //
@@ -24,8 +23,8 @@
 // Overlap is a wall-clock optimization only; the modeled timeline is
 // unchanged (compare time is still stacked after the align makespan, as
 // in the paper's cost model). Output cells, modeled times, and trace
-// fingerprints are bit-for-bit identical to the barrier reference path
-// (Options.Barrier) at every Parallelism setting, because
+// fingerprints are bit-for-bit identical at every Parallelism setting,
+// and to the golden digests the package tests pin, because
 //
 //  1. transfer completion order is deterministic in the discrete-event
 //     loop,
@@ -110,9 +109,8 @@ type QueryContext struct {
 	plans     []logical.Plan    // LogicalPlan: every valid plan, cheapest first
 	plan      *logical.Plan     // LogicalPlan: the chosen plan
 	spec      *shuffle.UnitSpec // SliceMap: join-unit geometry
-	ssl, ssr  *shuffle.SliceSet // SliceMap: per-side slice maps (materializing path)
-	rsl, rsr  *shuffle.RunSet   // SliceMap: per-side batch runs (streaming path)
-	budget    *batch.Budget     // SliceMap: per-query memory accountant (streaming path)
+	rsl, rsr  *shuffle.RunSet   // SliceMap: per-side batch runs
+	budget    *batch.Budget     // SliceMap: per-query memory accountant
 	prob      *physical.Problem // PhysicalPlan: cost-model problem instance
 	nodeUnits [][]int           // PhysicalPlan: units assigned to each node
 	transfers []simnet.Transfer // Align: the shuffle's network transfers
@@ -120,34 +118,6 @@ type QueryContext struct {
 	proj      *projector        // Align: output-cell projector
 	runner    *compareRunner    // Align: overlapped per-unit compare dispatcher
 	nodes     []nodeOut         // Compare: merged per-node compare products
-}
-
-// streaming reports whether the query's data plane is the batch-run
-// path (the default) rather than the materializing reference path.
-func (qc *QueryContext) streaming() bool { return qc.rsl != nil }
-
-// leftSizes / rightSizes report the slice statistics s_{i,j} from
-// whichever slice map the query built.
-func (qc *QueryContext) leftSizes() [][]int64 {
-	if qc.streaming() {
-		return qc.rsl.Sizes()
-	}
-	return qc.ssl.Sizes()
-}
-
-func (qc *QueryContext) rightSizes() [][]int64 {
-	if qc.streaming() {
-		return qc.rsr.Sizes()
-	}
-	return qc.ssr.Sizes()
-}
-
-// sliceCells returns the cells of unit u (both sides) mapped on a node.
-func (qc *QueryContext) sliceCells(u, node int) int64 {
-	if qc.streaming() {
-		return qc.rsl.Count(u, node) + qc.rsr.Count(u, node)
-	}
-	return int64(len(qc.ssl.Slice(u, node))) + int64(len(qc.ssr.Slice(u, node)))
 }
 
 // NewQueryContext prepares a context for one join execution. opt is

@@ -50,30 +50,18 @@ type projector struct {
 	attrSrc  []fieldSrc
 	rowDim   bool
 	nextRow  int64
-	rowStep  int64
 	carryPos [2]map[int]int // original attr index -> tuple.Attrs position
 	attrFn   func(l, r *join.Tuple) []array.Value
 }
 
-// forNode returns a node-local copy whose synthetic row coordinates are
-// node, node+k, node+2k, … — disjoint across nodes. The barrier compare
-// path numbers rows this way directly.
-func (p *projector) forNode(node, k int) *projector {
-	c := *p
-	c.nextRow = int64(node)
-	c.rowStep = int64(k)
-	return &c
-}
-
 // forUnit returns a unit-local copy that numbers synthetic rows 0, 1, 2, …
-// The overlapped compare path projects each join unit independently (units
-// finish in shuffle-completion order), then renumbers rows to the
-// destination node's stride-k sequence when unit results are folded in
-// deterministic order — reproducing forNode's numbering bit for bit.
+// The compare runner projects each join unit independently (units finish
+// in shuffle-completion order), then renumbers rows to the destination
+// node's stride-k sequence when unit results are folded in deterministic
+// order.
 func (p *projector) forUnit() *projector {
 	c := *p
 	c.nextRow = 0
-	c.rowStep = 1
 	return &c
 }
 
@@ -167,7 +155,7 @@ func (p *projector) project(l, r *join.Tuple) ([]int64, []array.Value) {
 	var coords []int64
 	if p.rowDim {
 		coords = []int64{p.nextRow}
-		p.nextRow += p.rowStep
+		p.nextRow++
 	} else {
 		coords = make([]int64, len(p.dimSrc))
 		for i, src := range p.dimSrc {

@@ -154,11 +154,9 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 }
 
 // SliceMap is the Section 3.3 stage: each node maps its resident cells of
-// both sides into join-unit slices (in parallel across nodes). By default
-// the slices are bounded columnar batch runs (shuffle.MapSideStream) —
-// the streaming data plane — with a shared per-query intern dictionary
-// and memory budget; Options.Materialize selects the reference path of
-// fully materialized tuple slices instead.
+// both sides into join-unit slices (in parallel across nodes). The slices
+// are bounded columnar batch runs (shuffle.MapSideStream) with a shared
+// per-query intern dictionary and memory budget.
 type SliceMap struct{}
 
 func (SliceMap) Name() string { return "slice-map" }
@@ -168,49 +166,37 @@ func (SliceMap) Run(qc *QueryContext) error {
 	workers := opt.workers()
 	ms := opt.Trace.Root().Child("map.slices")
 	spec, lm, rm := logical.UnitSpecFor(qc.plan)
-	if opt.Materialize {
-		ssl, err := shuffle.MapSideN(qc.Left, c.K, spec, lm, workers)
-		if err != nil {
-			return err
-		}
-		ssr, err := shuffle.MapSideN(qc.Right, c.K, spec, rm, workers)
-		if err != nil {
-			return err
-		}
-		qc.ssl, qc.ssr = ssl, ssr
-	} else {
-		qc.budget = batch.NewBudget(opt.MemoryBudget, opt.StrictMemory)
-		// Attach before the budget is shared with mapper workers so
-		// charge/credit events carry the query id from the first batch.
-		qc.budget.SetFlight(qc.fr, qc.qid)
-		cfg := shuffle.StreamConfig{
-			BatchRows: opt.BatchSize,
-			Intern:    batch.NewIntern(),
-			Budget:    qc.budget,
-		}
-		rsl, err := shuffle.MapSideStream(qc.Left, c.K, spec, lm, workers, cfg)
-		if err != nil {
-			return err
-		}
-		rsr, err := shuffle.MapSideStream(qc.Right, c.K, spec, rm, workers, cfg)
-		if err != nil {
-			return err
-		}
-		qc.rsl, qc.rsr = rsl, rsr
-		// The budget only rises during mapping and only falls as compare
-		// retires units, so the peak is already final here — record it
-		// and surface the gauges (deterministic, so trace fingerprints
-		// stay pinned across Parallelism and overlap modes).
-		rep := qc.Report
-		rep.PeakBatchBytes = qc.budget.Peak()
-		rep.InternedStrings = int64(cfg.Intern.Count())
-		rep.MemoryOverflowBytes = qc.budget.OverflowBytes()
-		reg := opt.Trace.Metrics()
-		reg.Gauge("pipeline.peak_batch_bytes").Set(float64(rep.PeakBatchBytes))
-		reg.Gauge("pipeline.interned_strings").Set(float64(rep.InternedStrings))
-		ms.SetInt("peak_batch_bytes", rep.PeakBatchBytes)
-		ms.SetInt("interned_strings", rep.InternedStrings)
+	qc.budget = batch.NewBudget(opt.MemoryBudget, opt.StrictMemory)
+	// Attach before the budget is shared with mapper workers so
+	// charge/credit events carry the query id from the first batch.
+	qc.budget.SetFlight(qc.fr, qc.qid)
+	cfg := shuffle.StreamConfig{
+		BatchRows: opt.BatchSize,
+		Intern:    batch.NewIntern(),
+		Budget:    qc.budget,
 	}
+	rsl, err := shuffle.MapSideStream(qc.Left, c.K, spec, lm, workers, cfg)
+	if err != nil {
+		return err
+	}
+	rsr, err := shuffle.MapSideStream(qc.Right, c.K, spec, rm, workers, cfg)
+	if err != nil {
+		return err
+	}
+	qc.rsl, qc.rsr = rsl, rsr
+	// The budget only rises during mapping and only falls as compare
+	// retires units, so the peak is already final here — record it and
+	// surface the gauges (deterministic, so trace fingerprints stay
+	// pinned across Parallelism settings).
+	rep := qc.Report
+	rep.PeakBatchBytes = qc.budget.Peak()
+	rep.InternedStrings = int64(cfg.Intern.Count())
+	rep.MemoryOverflowBytes = qc.budget.OverflowBytes()
+	reg := opt.Trace.Metrics()
+	reg.Gauge("pipeline.peak_batch_bytes").Set(float64(rep.PeakBatchBytes))
+	reg.Gauge("pipeline.interned_strings").Set(float64(rep.InternedStrings))
+	ms.SetInt("peak_batch_bytes", rep.PeakBatchBytes)
+	ms.SetInt("interned_strings", rep.InternedStrings)
 	ms.SetInt("units", int64(spec.NumUnits))
 	ms.End()
 	qc.spec = spec
@@ -227,7 +213,7 @@ func (PhysicalPlan) Run(qc *QueryContext) error {
 	c, opt := qc.Cluster, qc.Opt
 	tr := opt.Trace
 	reg := tr.Metrics()
-	pr, err := physical.NewProblem(c.K, modelAlgo(qc.plan.Algo), qc.leftSizes(), qc.rightSizes(), opt.Params)
+	pr, err := physical.NewProblem(c.K, modelAlgo(qc.plan.Algo), qc.rsl.Sizes(), qc.rsr.Sizes(), opt.Params)
 	if err != nil {
 		return err
 	}
@@ -342,11 +328,10 @@ func planAssignment(qc *QueryContext, pr *physical.Problem) (physical.Result, er
 
 // Align is the Section 3.4 data alignment stage: it derives the shuffle's
 // network transfers from the physical assignment and plays them through
-// the lock-scheduled discrete-event simulator. In the default overlapped
-// mode it also creates the compare runner and dispatches each join unit's
-// comparison the moment the unit's last inbound slice lands (local-only
-// units start before the simulation does); under Options.Barrier the
-// comparison waits for the Compare stage.
+// the lock-scheduled discrete-event simulator. It also creates the
+// compare runner, which dispatches each join unit's comparison the moment
+// the unit's last inbound slice lands (local-only units start before the
+// simulation does).
 type Align struct{}
 
 func (Align) Name() string { return "align" }
@@ -384,7 +369,7 @@ func (Align) Run(qc *QueryContext) error {
 	rep := qc.Report
 
 	// The destination array and the output projector are built before the
-	// shuffle so the overlapped path can project matches as units land.
+	// shuffle so the compare runner can project matches as units land.
 	outArr, err := newOutputArray(qc.plan.JS)
 	if err != nil {
 		return err
@@ -405,7 +390,7 @@ func (Align) Run(qc *QueryContext) error {
 	for u := 0; u < qc.spec.NumUnits; u++ {
 		dest := rep.Physical.Assignment[u]
 		for node := 0; node < c.K; node++ {
-			cells := qc.sliceCells(u, node)
+			cells := qc.rsl.Count(u, node) + qc.rsr.Count(u, node)
 			if node != dest && cells > 0 {
 				qc.transfers = append(qc.transfers, simnet.Transfer{From: node, To: dest, Cells: cells, Tag: u})
 			}
@@ -419,33 +404,27 @@ func (Align) Run(qc *QueryContext) error {
 		Flight:      qc.fr,
 		FlightQID:   qc.qid,
 	}
-	if !opt.Barrier {
-		// The compare slot must be held before the runner exists: the
-		// constructor dispatches local-only units immediately.
-		if g := opt.Gate; g != nil {
-			if err := g.AcquireCompare(qc.ctx); err != nil {
-				return err
-			}
-			qc.compareSlot = true
+	// The compare slot must be held before the runner exists: the
+	// constructor dispatches local-only units immediately.
+	if g := opt.Gate; g != nil {
+		if err := g.AcquireCompare(qc.ctx); err != nil {
+			return err
 		}
-		qc.runner = newCompareRunner(qc)
-		cfg.OnComplete = qc.runner.landed
+		qc.compareSlot = true
 	}
+	qc.runner = newCompareRunner(qc)
+	cfg.OnComplete = qc.runner.landed
 	sim, err := qc.acquireSim()
 	if err != nil {
-		if qc.runner != nil {
-			qc.runner.wait()
-			qc.runner = nil
-		}
+		qc.runner.wait()
+		qc.runner = nil
 		return err
 	}
 	align, err := sim.Simulate(cfg, qc.transfers)
 	if err != nil {
 		qc.releaseSim(sim)
-		if qc.runner != nil {
-			qc.runner.wait()
-			qc.runner = nil
-		}
+		qc.runner.wait()
+		qc.runner = nil
 		return err
 	}
 	// The Result aliases the pooled instance's buffers and the Report
@@ -481,13 +460,12 @@ func (Align) Run(qc *QueryContext) error {
 	return nil
 }
 
-// Compare is the Section 3.4 cell comparison stage. In overlapped mode the
-// per-unit work was dispatched during Align; this stage waits for it and
-// folds the per-unit slots into per-node outputs. Under Options.Barrier it
-// runs the per-node reference path here instead. Either way the per-node
-// merge — join stats, modeled seconds, skew — happens in ascending node
-// order on the orchestration goroutine, so the Report and the trace are
-// identical in both modes at every Parallelism setting.
+// Compare is the Section 3.4 cell comparison stage. The per-unit work was
+// dispatched during Align; this stage waits for it and folds the per-unit
+// slots into per-node outputs. The per-node merge — join stats, modeled
+// seconds, skew — happens in ascending node order on the orchestration
+// goroutine, so the Report and the trace are identical at every
+// Parallelism setting.
 type Compare struct{}
 
 func (Compare) Name() string { return "compare" }
@@ -499,18 +477,8 @@ func (Compare) Run(qc *QueryContext) error {
 	rep := qc.Report
 	k := qc.Cluster.K
 
-	if qc.runner != nil {
-		qc.runner.wait()
-		qc.nodes = qc.runner.fold()
-	} else {
-		if g := opt.Gate; g != nil {
-			if err := g.AcquireCompare(qc.ctx); err != nil {
-				return err
-			}
-			qc.compareSlot = true
-		}
-		qc.nodes = runBarrier(qc)
-	}
+	qc.runner.wait()
+	qc.nodes = qc.runner.fold()
 	// Comparison work is over; free the gate's compare slot before the
 	// (possibly long) merge and assemble tail.
 	qc.releaseCompareSlot()

@@ -28,8 +28,12 @@ func BenchmarkMapSideHashUnits(b *testing.B) {
 	m := &SideMapper{KeyRefs: []join.Ref{{IsDim: false, Index: 0, Name: "v"}}, CarryAll: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MapSide(d, 4, spec, m); err != nil {
+		rs, err := MapSideStream(d, 4, spec, m, 1, StreamConfig{})
+		if err != nil {
 			b.Fatal(err)
+		}
+		for u := 0; u < spec.NumUnits; u++ {
+			rs.ReleaseUnit(u)
 		}
 	}
 }
@@ -41,8 +45,12 @@ func BenchmarkMapSideChunkUnits(b *testing.B) {
 	m := &SideMapper{KeyRefs: []join.Ref{ref}, DimRefs: []join.Ref{ref}, CarryAll: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MapSide(d, 4, spec, m); err != nil {
+		rs, err := MapSideStream(d, 4, spec, m, 1, StreamConfig{})
+		if err != nil {
 			b.Fatal(err)
+		}
+		for u := 0; u < spec.NumUnits; u++ {
+			rs.ReleaseUnit(u)
 		}
 	}
 }

@@ -29,13 +29,46 @@ func dimMapper(s *array.Schema) *SideMapper {
 	return &SideMapper{KeyRefs: []join.Ref{ref}, DimRefs: []join.Ref{ref}, CarryAll: true}
 }
 
+// mapStream maps one side sequentially with the default batch size.
+func mapStream(t *testing.T, d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper) *RunSet {
+	t.Helper()
+	rs, err := MapSideStream(d, k, spec, m, 1, StreamConfig{})
+	if err != nil {
+		t.Fatalf("MapSideStream: %v", err)
+	}
+	return rs
+}
+
+// streamSlices decodes every (unit, node) slice of a RunSet into owned
+// tuples: slices[u][node] holds the slice in map order, nil when empty.
+// A reader assembled at node 0 visits the nodes in ascending order, so
+// its tuples split into slices by the per-node counts.
+func streamSlices(rs *RunSet) [][][]join.Tuple {
+	out := make([][][]join.Tuple, rs.Spec.NumUnits)
+	for u := range out {
+		out[u] = make([][]join.Tuple, rs.Nodes)
+		rd := rs.Reader(u, 0)
+		ts := rd.Materialize()
+		for node := 0; node < rs.Nodes; node++ {
+			n := int(rs.Count(u, node))
+			for _, tup := range ts[:n] {
+				out[u][node] = append(out[u][node], join.Tuple{
+					Key:    append([]array.Value(nil), tup.Key...),
+					Coords: append([]int64(nil), tup.Coords...),
+					Attrs:  append([]array.Value(nil), tup.Attrs...),
+				})
+			}
+			ts = ts[n:]
+		}
+		rd.Close()
+	}
+	return out
+}
+
 func TestChunkUnitsPartitionCells(t *testing.T) {
 	d := lineArray(t, "A", 100, 10, 4)
 	spec := &UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{{Name: "i", Start: 1, End: 100, ChunkInterval: 10}}}
-	ss, err := MapSide(d, 4, spec, dimMapper(d.Array.Schema))
-	if err != nil {
-		t.Fatalf("MapSide: %v", err)
-	}
+	ss := mapStream(t, d, 4, spec, dimMapper(d.Array.Schema))
 	if spec.NumUnits != 10 {
 		t.Fatalf("NumUnits = %d, want 10", spec.NumUnits)
 	}
@@ -53,13 +86,10 @@ func TestChunkUnitsRespectJoinSpace(t *testing.T) {
 	// Every cell of unit u must have its join coordinate inside chunk u.
 	d := lineArray(t, "A", 60, 10, 3)
 	spec := &UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{{Name: "i", Start: 1, End: 60, ChunkInterval: 10}}}
-	ss, err := MapSide(d, 3, spec, dimMapper(d.Array.Schema))
-	if err != nil {
-		t.Fatal(err)
-	}
+	slices := streamSlices(mapStream(t, d, 3, spec, dimMapper(d.Array.Schema)))
 	for u := 0; u < spec.NumUnits; u++ {
 		for node := 0; node < 3; node++ {
-			for _, tup := range ss.Slice(u, node) {
+			for _, tup := range slices[u][node] {
 				i := tup.Coords[0]
 				if got := int((i - 1) / 10); got != u {
 					t.Fatalf("cell i=%d in unit %d, want %d", i, u, got)
@@ -77,19 +107,13 @@ func TestHashUnitsConsistentAcrossSides(t *testing.T) {
 	spec := &UnitSpec{Kind: HashUnits, NumUnits: 16}
 	attrRef := join.Ref{IsDim: false, Index: 0, Name: "v"}
 	m := &SideMapper{KeyRefs: []join.Ref{attrRef}, CarryAll: true}
-	ssA, err := MapSide(dA, 4, spec, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssB, err := MapSide(dB, 4, spec, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unitOfKey := func(ss *SliceSet) map[int64]int {
+	ssA := streamSlices(mapStream(t, dA, 4, spec, m))
+	ssB := streamSlices(mapStream(t, dB, 4, spec, m))
+	unitOfKey := func(slices [][][]join.Tuple) map[int64]int {
 		res := make(map[int64]int)
 		for u := 0; u < spec.NumUnits; u++ {
 			for node := 0; node < 4; node++ {
-				for _, tup := range ss.Slice(u, node) {
+				for _, tup := range slices[u][node] {
 					res[tup.Key[0].AsInt()] = u
 				}
 			}
@@ -107,11 +131,7 @@ func TestHashUnitsConsistentAcrossSides(t *testing.T) {
 func TestSizesMatchPlacement(t *testing.T) {
 	d := lineArray(t, "A", 100, 10, 4)
 	spec := &UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{{Name: "i", Start: 1, End: 100, ChunkInterval: 10}}}
-	ss, err := MapSide(d, 4, spec, dimMapper(d.Array.Schema))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := ss.Sizes()
+	sizes := mapStream(t, d, 4, spec, dimMapper(d.Array.Schema)).Sizes()
 	// With matching chunking, unit u's cells all live where chunk u lives.
 	for u := 0; u < 10; u++ {
 		owner := d.Placement[array.MakeChunkKey([]int64{int64(u)})]
@@ -130,15 +150,13 @@ func TestSizesMatchPlacement(t *testing.T) {
 func TestAssembleGathersAllSlices(t *testing.T) {
 	d := lineArray(t, "A", 100, 5, 4) // chunks smaller than join chunks: slices split
 	spec := &UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{{Name: "i", Start: 1, End: 100, ChunkInterval: 20}}}
-	ss, err := MapSide(d, 4, spec, dimMapper(d.Array.Schema))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := mapStream(t, d, 4, spec, dimMapper(d.Array.Schema))
 	for u := 0; u < spec.NumUnits; u++ {
-		got := ss.Assemble(u, 0)
-		if int64(len(got)) != ss.UnitTotal(u) {
-			t.Errorf("unit %d: assembled %d cells, total %d", u, len(got), ss.UnitTotal(u))
+		rd := rs.Reader(u, 0)
+		if got := len(rd.Materialize()); int64(got) != rs.UnitTotal(u) || rd.Len() != got {
+			t.Errorf("unit %d: assembled %d cells (Len %d), total %d", u, got, rd.Len(), rs.UnitTotal(u))
 		}
+		rd.Close()
 	}
 }
 
@@ -154,13 +172,10 @@ func TestCarrySubsetOfAttributes(t *testing.T) {
 		KeyRefs: []join.Ref{{IsDim: false, Index: 0, Name: "v1"}},
 		Carry:   []int{1}, // only v2 travels
 	}
-	ss, err := MapSide(d, 2, spec, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	slices := streamSlices(mapStream(t, d, 2, spec, m))
 	for u := 0; u < 4; u++ {
 		for node := 0; node < 2; node++ {
-			for _, tup := range ss.Slice(u, node) {
+			for _, tup := range slices[u][node] {
 				if len(tup.Attrs) != 1 || tup.Attrs[0].Kind != array.TypeFloat64 {
 					t.Fatalf("tuple carries %v, want only v2", tup.Attrs)
 				}
@@ -194,7 +209,7 @@ func TestMapSideMapperSpecMismatch(t *testing.T) {
 	d := lineArray(t, "A", 10, 5, 2)
 	spec := &UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{{Name: "i", Start: 1, End: 10, ChunkInterval: 5}}}
 	m := &SideMapper{KeyRefs: []join.Ref{{IsDim: true}}} // no DimRefs
-	if _, err := MapSide(d, 2, spec, m); err == nil {
+	if _, err := MapSideStream(d, 2, spec, m, 1, StreamConfig{}); err == nil {
 		t.Error("mismatched mapper should fail")
 	}
 }
@@ -214,13 +229,13 @@ func TestMapSideConservesCells(t *testing.T) {
 		d := cluster.Distribute(a, k, cluster.RoundRobin)
 		ref := join.Ref{IsDim: false, Index: 0, Name: "v"}
 		hashSpec := &UnitSpec{Kind: HashUnits, NumUnits: rng.Intn(30) + 1}
-		ss, err := MapSide(d, k, hashSpec, &SideMapper{KeyRefs: []join.Ref{ref}})
+		ss, err := MapSideStream(d, k, hashSpec, &SideMapper{KeyRefs: []join.Ref{ref}}, 1, StreamConfig{})
 		if err != nil || ss.TotalCells() != n {
 			return false
 		}
 		dimRef := join.Ref{IsDim: true, Index: 0, Name: "i"}
 		chunkSpec := &UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{{Name: "i", Start: 1, End: 1000, ChunkInterval: int64(rng.Intn(400) + 1)}}}
-		ss2, err := MapSide(d, k, chunkSpec, &SideMapper{KeyRefs: []join.Ref{dimRef}, DimRefs: []join.Ref{dimRef}})
+		ss2, err := MapSideStream(d, k, chunkSpec, &SideMapper{KeyRefs: []join.Ref{dimRef}, DimRefs: []join.Ref{dimRef}}, 1, StreamConfig{})
 		return err == nil && ss2.TotalCells() == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -229,9 +244,9 @@ func TestMapSideConservesCells(t *testing.T) {
 }
 
 // Property: the parallel slice mapper partitions every cell exactly once
-// and builds a SliceSet identical to the sequential mapper's — same tuples
-// in the same (unit, node) slots in the same order — at any worker count
-// and for both unit kinds.
+// and builds slices identical to the sequential mapper's — same tuples in
+// the same (unit, node) slots in the same order — at any worker count,
+// any batch size, and for both unit kinds.
 func TestMapSideNMatchesSequential(t *testing.T) {
 	f := func(seed int64, workers uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -256,15 +271,15 @@ func TestMapSideNMatchesSequential(t *testing.T) {
 			{KeyRefs: []join.Ref{dimRef}, DimRefs: []join.Ref{dimRef}},
 		}
 		for i, spec := range specs {
-			seq, err := MapSide(d, k, spec, mappers[i])
+			seq, err := MapSideStream(d, k, spec, mappers[i], 1, StreamConfig{})
 			if err != nil {
 				return false
 			}
-			par, err := MapSideN(d, k, spec, mappers[i], w)
+			par, err := MapSideStream(d, k, spec, mappers[i], w, StreamConfig{BatchRows: rng.Intn(16) + 1})
 			if err != nil {
 				return false
 			}
-			if par.TotalCells() != a.CellCount() || !reflect.DeepEqual(seq.cells, par.cells) {
+			if par.TotalCells() != a.CellCount() || !reflect.DeepEqual(streamSlices(seq), streamSlices(par)) {
 				return false
 			}
 		}
@@ -281,17 +296,14 @@ func TestChunkUnitsFromAttribute(t *testing.T) {
 	d := lineArray(t, "A", 100, 10, 2)
 	attrRef := join.Ref{IsDim: false, Index: 0, Name: "v"}
 	spec := &UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{{Name: "v", Start: 0, End: 16, ChunkInterval: 4}}}
-	ss, err := MapSide(d, 2, spec, &SideMapper{KeyRefs: []join.Ref{attrRef}, DimRefs: []join.Ref{attrRef}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	slices := streamSlices(mapStream(t, d, 2, spec, &SideMapper{KeyRefs: []join.Ref{attrRef}, DimRefs: []join.Ref{attrRef}}))
 	// v = i % 17 in 0..16 -> 5 units (ceil(17/4)).
 	if spec.NumUnits != 5 {
 		t.Fatalf("NumUnits = %d, want 5", spec.NumUnits)
 	}
 	for u := 0; u < spec.NumUnits; u++ {
 		for node := 0; node < 2; node++ {
-			for _, tup := range ss.Slice(u, node) {
+			for _, tup := range slices[u][node] {
 				v := tup.Key[0].AsInt()
 				if int(v/4) != u {
 					t.Fatalf("v=%d in unit %d, want %d", v, u, v/4)

@@ -1,13 +1,12 @@
-// Streaming slice mapping: the pull-based, bounded-memory counterpart
-// of MapSideN. Instead of materializing every mapped cell as a
-// join.Tuple (three slice headers plus per-cell allocations), the
-// streaming path appends cells into fixed-capacity columnar batches —
-// one bounded run of batches per (unit, node) slice — and comparison
-// pulls tuples back out through pooled TupleReaders one window at a
-// time. Decoded tuples are bit-identical to what MapSideN produces for
-// the same side (same unit function, same key extraction, same carry
-// projection), which the differential tests in stream_test.go and the
-// pipeline equivalence suite pin.
+// Streaming slice mapping. Instead of materializing every mapped cell as
+// a join.Tuple (three slice headers plus per-cell allocations), slice
+// mapping appends cells into fixed-capacity columnar batches — one
+// bounded run of batches per (unit, node) slice — and comparison pulls
+// tuples back out through pooled TupleReaders one window at a time.
+// Decoded tuples are bit-identical to what a per-cell mapper over full
+// cells produces for the same side (same unit function, same key
+// extraction, same carry projection), which the reference tests in
+// stream_test.go and the pipeline's golden digests pin.
 package shuffle
 
 import (
@@ -51,10 +50,10 @@ type sideLayout struct {
 
 // RunSet holds the streamed slice map of one side: for every
 // (unit, node) pair, a run of bounded columnar batches plus its cell
-// count. It is the streaming counterpart of SliceSet — Sizes, UnitTotal
-// and TotalCells report the same statistics, and Reader replays a
-// unit's tuples in exactly Assemble's order (destination's local cells
-// first, then remote slices in node order).
+// count. Sizes, UnitTotal and TotalCells report the slice statistics,
+// and Reader replays a unit's tuples in arrival order at its
+// destination (the destination's local cells first, then remote slices
+// in node order).
 type RunSet struct {
 	Spec  *UnitSpec
 	Nodes int
@@ -74,8 +73,9 @@ func (rs *RunSet) Intern() *batch.Intern { return rs.intern }
 // Count returns the cells of unit u mapped on the given node.
 func (rs *RunSet) Count(u, node int) int64 { return rs.counts[u*rs.Nodes+node] }
 
-// Sizes returns the slice statistics s_{i,j}, exactly as SliceSet.Sizes
-// reports them for the materializing path.
+// Sizes returns the slice statistics s_{i,j}: cells of each unit on each
+// node — exactly what each node reports to the coordinator after slice
+// mapping, and what the physical planner consumes.
 func (rs *RunSet) Sizes() [][]int64 {
 	out := make([][]int64, rs.Spec.NumUnits)
 	for u := range out {
@@ -136,7 +136,7 @@ func (rs *RunSet) ReleaseUnit(u int) {
 
 // refValue reads the value a predicate term selects from a chunk row,
 // without materializing the cell — bit-identical to what join.KeyOf
-// sees on the materializing path.
+// reads from the full cell.
 func refValue(ch *array.Chunk, ref join.Ref, row int) array.Value {
 	if ref.IsDim {
 		return array.IntValue(ch.Coords[ref.Index][row])
@@ -144,8 +144,9 @@ func refValue(ch *array.Chunk, ref join.Ref, row int) array.Value {
 	return ch.Cols[ref.Index].Value(row)
 }
 
-// unitOfRow is unitOfCell over an in-place chunk row: identical hash
-// and clamp arithmetic, no per-cell key materialization.
+// unitOfRow computes the join unit of an in-place chunk row: FNV-1a over
+// the predicate key for hash units, the clamped join-grid position for
+// chunk units. No per-cell key is materialized.
 func unitOfRow(spec *UnitSpec, m *SideMapper, ch *array.Chunk, row int) int {
 	if spec.Kind == HashUnits {
 		var h uint64 = 1469598103934665603
@@ -175,14 +176,19 @@ func unitOfRow(spec *UnitSpec, m *SideMapper, ch *array.Chunk, row int) int {
 	return unit
 }
 
-// MapSideStream is the streaming MapSideN: every node maps its local
-// cells into per-(unit, node) batch runs instead of materialized tuple
-// slices. Per-node chunk order, unit assignment, key extraction, and
-// carry projection are identical to MapSideN, so a RunSet decodes to
-// exactly the SliceSet the materializing path would have built. Sealed
-// batches are charged to cfg.Budget as they fill; in strict budget mode
-// the map fails with an error wrapping batch.ErrBudget when the charge
-// crosses the limit.
+// MapSideStream runs the slice function over one distributed array:
+// every node maps its local cells, in the C-order of its chunk keys,
+// into per-(unit, node) batch runs. Tuples carry the comparison key plus
+// only the attributes the mapper says to carry (vertical partitioning:
+// the join moves only the necessary columns).
+//
+// Each node maps independently of the others — exactly what a real
+// cluster does node-locally — so the per-node map runs are spread over a
+// pool of `workers` goroutines (<= 1 means sequential). Distinct nodes
+// write distinct (unit, node) runs, so the RunSet is identical at every
+// worker count. Sealed batches are charged to cfg.Budget as they fill;
+// in strict budget mode the map fails with an error wrapping
+// batch.ErrBudget when the charge crosses the limit.
 func MapSideStream(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper, workers int, cfg StreamConfig) (*RunSet, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -299,7 +305,7 @@ type TupleReader struct {
 	rs      *RunSet
 	u, dest int
 	total   int
-	vi      int // visit pointer over nodes in Assemble order
+	vi      int // visit pointer over nodes in arrival order
 	seq     int // batch index within the current node's run
 
 	ts     []join.Tuple
@@ -337,7 +343,7 @@ func (r *TupleReader) Close() {
 // Len implements join.TupleStream: the unit side's total tuple count.
 func (r *TupleReader) Len() int { return r.total }
 
-// advance returns the next non-empty batch in Assemble order
+// advance returns the next non-empty batch in arrival order
 // (destination first, then remaining nodes ascending), or nil.
 func (r *TupleReader) advance() *batch.Batch {
 	for r.vi < r.rs.Nodes {

@@ -75,10 +75,11 @@ func streamCases(d *cluster.Distributed) []struct {
 
 // TestMapSideStreamMatchesMapSideN is the slice-mapping differential
 // test: for every mapper shape, batch size, and worker count, the
-// streamed RunSet reports the same slice statistics as the materializing
-// reference, and its readers decode every (unit, destination) pair to
-// the exact tuples Assemble produces — same order, same Value kinds,
-// same string contents.
+// streamed RunSet reports the same slice statistics as the per-cell
+// reference mapper (refSlices, which stands in for the retired
+// materializing MapSideN), and its readers decode every
+// (unit, destination) pair to the exact tuples the reference assembles
+// — same order, same Value kinds, same string contents.
 func TestMapSideStreamMatchesMapSideN(t *testing.T) {
 	const k = 4
 	d := mixedArray(t, "A", 100, 10, k)
@@ -86,37 +87,14 @@ func TestMapSideStreamMatchesMapSideN(t *testing.T) {
 		for _, rows := range []int{1, 7, 1024} {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/rows=%d/workers=%d", tc.name, rows, workers), func(t *testing.T) {
-					ss, err := MapSideN(d, k, tc.spec, tc.m, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
+					ref := refSlices(t, d, localOrder(d, k), tc.spec, tc.m)
 					rs, err := MapSideStream(d, k, tc.spec, tc.m, workers, StreamConfig{BatchRows: rows})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(rs.Sizes(), ss.Sizes()) {
-						t.Fatalf("Sizes differ:\nstream %v\nref    %v", rs.Sizes(), ss.Sizes())
-					}
-					if rs.TotalCells() != ss.TotalCells() {
-						t.Fatalf("TotalCells = %d, want %d", rs.TotalCells(), ss.TotalCells())
-					}
-					for u := 0; u < tc.spec.NumUnits; u++ {
-						if rs.UnitTotal(u) != ss.UnitTotal(u) {
-							t.Fatalf("UnitTotal(%d) = %d, want %d", u, rs.UnitTotal(u), ss.UnitTotal(u))
-						}
-						for dest := 0; dest < k; dest++ {
-							want := ss.Assemble(u, dest)
-							rd := rs.Reader(u, dest)
-							got := rd.Materialize()
-							if len(got) == 0 && len(want) == 0 {
-								rd.Close()
-								continue
-							}
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("unit %d dest %d: decoded tuples differ", u, dest)
-							}
-							rd.Close()
-						}
+					checkAgainstRef(t, rs, ref)
+					if rs.TotalCells() != d.Array.CellCount() {
+						t.Fatalf("TotalCells = %d, want %d", rs.TotalCells(), d.Array.CellCount())
 					}
 				})
 			}

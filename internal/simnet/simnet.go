@@ -19,8 +19,8 @@
 // min-heap of per-sender candidate dispatches keyed by (start, input
 // position), and per-destination waiter buckets so a lock release
 // re-evaluates only the senders blocked on it. The original rescan-
-// everything loop is retained as simulateReference and the two are held
-// bit-for-bit equivalent by differential and fuzz tests.
+// everything loop lives on in test code (reference_test.go), and the two
+// are held bit-for-bit equivalent by differential and fuzz tests.
 package simnet
 
 import (

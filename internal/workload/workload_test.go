@@ -117,7 +117,7 @@ func countMatches(t *testing.T, a, b *array.Array) int64 {
 		right = append(right, join.Tuple{Key: []array.Value{at[0]}})
 		return true
 	})
-	st := join.HashJoin(left, right, nil)
+	st := join.HashJoinStream(&join.SliceStream{Tuples: left}, &join.SliceStream{Tuples: right}, nil)
 	return st.Matches
 }
 

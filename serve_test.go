@@ -148,6 +148,74 @@ func TestConcurrentQueriesBitIdentical(t *testing.T) {
 	}
 }
 
+// TestInsertDuringConcurrentSeal pins the array-handle lock: a query
+// seals every pending array, so an array being filled while other
+// goroutines query can be sealed mid-fill. Insert must then fail with
+// the "is sealed" error instead of writing into a chunk map the seal
+// is sorting. Run under -race this catches the unsynchronized version.
+func TestInsertDuringConcurrentSeal(t *testing.T) {
+	db, err := Open(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildTestPair(t, db, "SA", "SB", 200)
+	const q = "SELECT SA.v, SB.w FROM SA, SB WHERE SA.i = SB.i"
+	want, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := db.Query(q)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if res.Matches != want.Matches {
+					errs <- fmt.Errorf("matches = %d, want %d", res.Matches, want.Matches)
+					return
+				}
+			}
+		}()
+	}
+
+	var sealed int
+	for n := 0; n < 20; n++ {
+		ar, err := db.CreateArray(fmt.Sprintf("N%d<v:int>[i=1,4000,100]", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(1); i <= 2000; i++ {
+			if err := ar.Insert([]int64{i * 2}, i); err != nil {
+				if !strings.Contains(err.Error(), "is sealed") {
+					t.Fatalf("array N%d cell %d: %v", n, i, err)
+				}
+				sealed++
+				break
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	t.Logf("%d of 20 arrays were sealed mid-fill", sealed)
+}
+
 // TestServeClosedLoop smoke-tests DB.Serve: a mixed workload completes,
 // reports per-class latency, and leaves the scheduler drained.
 func TestServeClosedLoop(t *testing.T) {

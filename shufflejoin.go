@@ -105,8 +105,12 @@ func (db *DB) Nodes() int { return db.cluster.K }
 
 // Array is a handle to an array being built or already loaded.
 type Array struct {
-	db     *DB
-	inner  *array.Array
+	db    *DB
+	inner *array.Array
+	// mu orders Insert against sealing: a concurrent query may seal the
+	// array mid-fill, after which Insert reports it sealed instead of
+	// writing into chunks the seal is sorting.
+	mu     sync.Mutex
 	loaded bool
 	policy cluster.PlacementPolicy
 }
@@ -149,9 +153,6 @@ func (ar *Array) ChunkCount() int { return ar.inner.ChunkCount() }
 // Insert stores one cell: coordinates (one per dimension) and attribute
 // values (int64/int/float64/string, one per attribute).
 func (ar *Array) Insert(coords []int64, values ...any) error {
-	if ar.loaded {
-		return fmt.Errorf("shufflejoin: %s is sealed; arrays are immutable once queried", ar.Name())
-	}
 	attrs := make([]array.Value, len(values))
 	for i, v := range values {
 		switch x := v.(type) {
@@ -166,6 +167,11 @@ func (ar *Array) Insert(coords []int64, values ...any) error {
 		default:
 			return fmt.Errorf("shufflejoin: unsupported value type %T", v)
 		}
+	}
+	ar.mu.Lock()
+	defer ar.mu.Unlock()
+	if ar.loaded {
+		return fmt.Errorf("shufflejoin: %s is sealed; arrays are immutable once queried", ar.Name())
 	}
 	return ar.inner.Put(coords, attrs)
 }
@@ -184,6 +190,8 @@ func (ar *Array) Seal() {
 
 // sealLocked is Seal with the DB's write lock already held.
 func (ar *Array) sealLocked() {
+	ar.mu.Lock()
+	defer ar.mu.Unlock()
 	if ar.loaded {
 		return
 	}
@@ -193,8 +201,16 @@ func (ar *Array) sealLocked() {
 	delete(ar.db.pending, ar.Name())
 }
 
-// sealAll seals every pending array.
+// sealAll seals every pending array. Queries call it on every run, so
+// the common nothing-pending case only takes the read lock; the write
+// lock, which waits out every in-flight query, is taken only to seal.
 func (db *DB) sealAll() {
+	db.mu.RLock()
+	n := len(db.pending)
+	db.mu.RUnlock()
+	if n == 0 {
+		return
+	}
 	db.mu.Lock()
 	for _, ar := range db.pending {
 		ar.sealLocked()
@@ -262,7 +278,6 @@ type queryConfig struct {
 	batchSize    int   // streaming batch capacity in rows (0 = default)
 	memBudget    int64 // per-query batch-memory budget in bytes (0 = unlimited)
 	strictMemory bool  // budget overflow fails the query instead of counting
-	materialize  bool  // run the materializing reference data plane
 	forceAlgo    string
 	trace        *obs.Trace
 	cache        *plancache.Cache
@@ -508,17 +523,6 @@ func WithStrictMemory() QueryOption {
 	}
 }
 
-// WithMaterializedExecution runs the query on the materializing reference
-// data plane — every slice fully expanded to tuples before comparison —
-// instead of the default streaming batch iterators. Outputs are identical;
-// the option exists for differential testing and A/B memory measurements.
-func WithMaterializedExecution() QueryOption {
-	return func(c *queryConfig) error {
-		c.materialize = true
-		return nil
-	}
-}
-
 // WithTrace enables tracing and metrics capture for the query: the Result
 // then supports TraceSummary (human-readable skew/congestion breakdown),
 // ChromeTrace (Perfetto-loadable trace-event JSON), and MetricsJSON, and
@@ -565,7 +569,6 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		BatchSize:    cfg.batchSize,
 		MemoryBudget: cfg.memBudget,
 		StrictMemory: cfg.strictMemory,
-		Materialize:  cfg.materialize,
 		Logical:      logical.PlanOptions{Selectivity: cfg.selectivity},
 		Trace:        cfg.trace,
 		Cache:        cfg.cache,
